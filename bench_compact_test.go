@@ -21,13 +21,13 @@ import (
 // compaction cycles the run crossed.
 func benchPublishTail(b *testing.B, background bool) {
 	f := snapshotBenchFixture(b)
-	f.idx.mu.Lock()
-	f.idx.opt.noBgCompact = !background
-	f.idx.mu.Unlock()
+	f.idx.shards[0].mu.Lock()
+	f.idx.shards[0].opt.noBgCompact = !background
+	f.idx.shards[0].mu.Unlock()
 	defer func() {
-		f.idx.mu.Lock()
-		f.idx.opt.noBgCompact = false
-		f.idx.mu.Unlock()
+		f.idx.shards[0].mu.Lock()
+		f.idx.shards[0].opt.noBgCompact = false
+		f.idx.shards[0].mu.Unlock()
 	}()
 	before := f.idx.PublishStats()
 	durs := make([]time.Duration, 0, 2*b.N)
@@ -68,7 +68,7 @@ func benchPublishTail(b *testing.B, background bool) {
 func BenchmarkPublishTailLatency(b *testing.B) { benchPublishTail(b, true) }
 
 // BenchmarkPublishTailLatencyInlineCompaction is the pre-compactor
-// behaviour (WithBackgroundCompaction(false)): every threshold crossing
+// behaviour (withBackgroundCompaction(false)): every threshold crossing
 // rebuilds inline, stalling that publish for the full rebuild. It flips the
 // fixture's compaction mode for its duration (benchmarks in this file run
 // sequentially).

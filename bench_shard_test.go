@@ -21,7 +21,7 @@ import (
 // there.
 
 type shardBenchFixture struct {
-	sharded map[int]*ShardedIndex // keyed by effective shard count
+	sharded map[int]*Index // keyed by effective shard count
 	taxi    []Point
 	bound   geom.Rect
 }
@@ -43,7 +43,7 @@ func shardBenchFixtureBuild(b *testing.B) *shardBenchFixture {
 		spec := dataset.NYCNeighborhoods(dataset.ScaleTiny)
 		polys := toPublicPolys(spec.Generate())
 		f := &shardBenchFixture{
-			sharded: map[int]*ShardedIndex{},
+			sharded: map[int]*Index{},
 			taxi:    toPublicPts(dataset.TaxiPoints(spec.Bound, 100_000, 21)),
 			bound:   spec.Bound,
 		}
@@ -61,7 +61,7 @@ func shardBenchFixtureBuild(b *testing.B) *shardBenchFixture {
 
 // shardChurnTargets finds one representative point per shard by routing a
 // grid over the bound through ShardOf.
-func shardChurnTargets(six *ShardedIndex, bound geom.Rect) []Point {
+func shardChurnTargets(six *Index, bound geom.Rect) []Point {
 	targets := make([]Point, six.NumShards())
 	found := make([]bool, six.NumShards())
 	n := 0

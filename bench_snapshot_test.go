@@ -79,7 +79,7 @@ func BenchmarkSnapshotCurrent(b *testing.B) {
 // pre-incremental behaviour this path replaced.
 func BenchmarkSnapshotPublishAddRemove(b *testing.B) {
 	f := snapshotBenchFixture(b)
-	before, _ := f.idx.publishCounters()
+	before, _ := f.idx.shards[0].publishCounters()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id, err := f.idx.Add(benchChurnSquare(f.bound, i))
@@ -91,7 +91,7 @@ func BenchmarkSnapshotPublishAddRemove(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if after, _ := f.idx.publishCounters(); after == before {
+	if after, _ := f.idx.shards[0].publishCounters(); after == before {
 		b.Fatal("incremental publish path never engaged")
 	}
 	b.ReportMetric(b.Elapsed().Seconds()*1e3/float64(2*b.N), "ms/publish")
@@ -104,13 +104,13 @@ func BenchmarkSnapshotPublishAddRemove(b *testing.B) {
 // its duration (benchmarks in this file run sequentially).
 func BenchmarkSnapshotPublishFullRebuildAddRemove(b *testing.B) {
 	f := snapshotBenchFixture(b)
-	f.idx.mu.Lock()
-	f.idx.opt.fullPublish = true
-	f.idx.mu.Unlock()
+	f.idx.shards[0].mu.Lock()
+	f.idx.shards[0].opt.fullPublish = true
+	f.idx.shards[0].mu.Unlock()
 	defer func() {
-		f.idx.mu.Lock()
-		f.idx.opt.fullPublish = false
-		f.idx.mu.Unlock()
+		f.idx.shards[0].mu.Lock()
+		f.idx.shards[0].opt.fullPublish = false
+		f.idx.shards[0].mu.Unlock()
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -152,17 +152,17 @@ func BenchmarkSnapshotRemovePublish(b *testing.B) {
 // BenchmarkSnapshotRemovePublishWalk is the same Remove+publish pair with
 // the directory bypassed: every Remove walks the whole quadtree to find the
 // polygon's cells, the behaviour the directory replaced (equivalent to
-// building with WithWalkRemoval(true)). It flips the fixture's removal mode
+// building with withWalkRemoval(true)). It flips the fixture's removal mode
 // for its duration (benchmarks in this file run sequentially).
 func BenchmarkSnapshotRemovePublishWalk(b *testing.B) {
 	f := snapshotBenchFixture(b)
-	f.idx.mu.Lock()
-	f.idx.sc.SetWalkRemoval(true)
-	f.idx.mu.Unlock()
+	f.idx.shards[0].mu.Lock()
+	f.idx.shards[0].sc.SetWalkRemoval(true)
+	f.idx.shards[0].mu.Unlock()
 	defer func() {
-		f.idx.mu.Lock()
-		f.idx.sc.SetWalkRemoval(false)
-		f.idx.mu.Unlock()
+		f.idx.shards[0].mu.Lock()
+		f.idx.shards[0].sc.SetWalkRemoval(false)
+		f.idx.shards[0].mu.Unlock()
 	}()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

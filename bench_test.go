@@ -501,7 +501,7 @@ func benchCoversLoop(b *testing.B, pts []Point) {
 	for i := 0; i < b.N; i++ {
 		out := make([][]PolygonID, len(pts))
 		for j, p := range pts {
-			out[j] = f.idx.CoversApprox(p)
+			out[j] = f.idx.Current().CoversApprox(p)
 		}
 		if len(out) != len(pts) {
 			b.Fatal("bad loop")
@@ -511,12 +511,12 @@ func benchCoversLoop(b *testing.B, pts []Point) {
 }
 
 // benchCoversBatch measures one CoversBatch configuration.
-func benchCoversBatch(b *testing.B, pts []Point, opt BatchOptions) {
+func benchCoversBatch(b *testing.B, pts []Point, opt QueryOptions) {
 	f := joinBatchFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := f.idx.CoversBatch(pts, opt)
+		out := f.idx.Current().CoversBatch(pts, opt)
 		if len(out) != len(pts) {
 			b.Fatal("bad batch")
 		}
@@ -529,15 +529,15 @@ func BenchmarkJoinBatchPerPointLoop(b *testing.B) {
 }
 
 func BenchmarkJoinBatchUnsorted(b *testing.B) {
-	benchCoversBatch(b, joinBatchFixture(b).taxi, BatchOptions{Threads: 1})
+	benchCoversBatch(b, joinBatchFixture(b).taxi, QueryOptions{Threads: 1})
 }
 
 func BenchmarkJoinBatchSorted(b *testing.B) {
-	benchCoversBatch(b, joinBatchFixture(b).taxi, BatchOptions{Sorted: true, Threads: 1})
+	benchCoversBatch(b, joinBatchFixture(b).taxi, QueryOptions{Sorted: true, Threads: 1})
 }
 
 func BenchmarkJoinBatchSortedParallel(b *testing.B) {
-	benchCoversBatch(b, joinBatchFixture(b).taxi, BatchOptions{Sorted: true})
+	benchCoversBatch(b, joinBatchFixture(b).taxi, QueryOptions{Sorted: true})
 }
 
 func BenchmarkJoinBatchUniformPerPointLoop(b *testing.B) {
@@ -545,14 +545,14 @@ func BenchmarkJoinBatchUniformPerPointLoop(b *testing.B) {
 }
 
 func BenchmarkJoinBatchUniformSorted(b *testing.B) {
-	benchCoversBatch(b, joinBatchFixture(b).uni, BatchOptions{Sorted: true, Threads: 1})
+	benchCoversBatch(b, joinBatchFixture(b).uni, QueryOptions{Sorted: true, Threads: 1})
 }
 
 func BenchmarkJoinBatchCountPerPoint(b *testing.B) {
 	f := joinBatchFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := f.idx.Join(f.taxi, false, 1)
+		res := f.idx.Current().JoinCount(f.taxi, QueryOptions{Exact: false, Threads: 1})
 		if res.Counts == nil {
 			b.Fatal("bad join")
 		}
@@ -564,7 +564,7 @@ func BenchmarkJoinBatchCountSorted(b *testing.B) {
 	f := joinBatchFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := f.idx.JoinCount(f.taxi, BatchOptions{Sorted: true, Threads: 1})
+		res := f.idx.Current().JoinCount(f.taxi, QueryOptions{Sorted: true, Threads: 1})
 		if res.Counts == nil {
 			b.Fatal("bad join")
 		}
@@ -584,7 +584,7 @@ func BenchmarkPublicAPICovers(b *testing.B) {
 	p := Point{Lon: -73.95, Lat: 40.75}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = idx.CoversApprox(p)
+		_ = idx.Current().CoversApprox(p)
 	}
 }
 
@@ -609,7 +609,7 @@ func benchStreamLoop(b *testing.B, pool []Point) {
 		pts := slideWindow(pool, i)
 		out := make([][]PolygonID, len(pts))
 		for j, p := range pts {
-			out[j] = f.idx.CoversApprox(p)
+			out[j] = f.idx.Current().CoversApprox(p)
 		}
 		if len(out) != len(pts) {
 			b.Fatal("bad loop")
@@ -618,11 +618,11 @@ func benchStreamLoop(b *testing.B, pool []Point) {
 	reportBatchMpts(b, 100_000)
 }
 
-func benchStreamBatch(b *testing.B, pool []Point, opt BatchOptions) {
+func benchStreamBatch(b *testing.B, pool []Point, opt QueryOptions) {
 	f := joinBatchFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := f.idx.CoversBatch(slideWindow(pool, i), opt)
+		out := f.idx.Current().CoversBatch(slideWindow(pool, i), opt)
 		if len(out) != 100_000 {
 			b.Fatal("bad batch")
 		}
@@ -635,11 +635,11 @@ func BenchmarkJoinBatchStreamLoopTaxi(b *testing.B) {
 }
 
 func BenchmarkJoinBatchStreamUnsortedTaxi(b *testing.B) {
-	benchStreamBatch(b, joinBatchFixture(b).taxiPool, BatchOptions{Threads: 1})
+	benchStreamBatch(b, joinBatchFixture(b).taxiPool, QueryOptions{Threads: 1})
 }
 
 func BenchmarkJoinBatchStreamSortedTaxi(b *testing.B) {
-	benchStreamBatch(b, joinBatchFixture(b).taxiPool, BatchOptions{Sorted: true, Threads: 1})
+	benchStreamBatch(b, joinBatchFixture(b).taxiPool, QueryOptions{Sorted: true, Threads: 1})
 }
 
 func BenchmarkJoinBatchStreamLoopUniform(b *testing.B) {
@@ -647,9 +647,9 @@ func BenchmarkJoinBatchStreamLoopUniform(b *testing.B) {
 }
 
 func BenchmarkJoinBatchStreamUnsortedUniform(b *testing.B) {
-	benchStreamBatch(b, joinBatchFixture(b).uniPool, BatchOptions{Threads: 1})
+	benchStreamBatch(b, joinBatchFixture(b).uniPool, QueryOptions{Threads: 1})
 }
 
 func BenchmarkJoinBatchStreamSortedUniform(b *testing.B) {
-	benchStreamBatch(b, joinBatchFixture(b).uniPool, BatchOptions{Sorted: true, Threads: 1})
+	benchStreamBatch(b, joinBatchFixture(b).uniPool, QueryOptions{Sorted: true, Threads: 1})
 }

@@ -5,12 +5,11 @@
 // Beyond the paper's tables and figures, `-exp batch` measures the batch
 // probe pipeline behind the public CoversBatch/JoinCount API (per-point vs
 // batch probing, sorted vs unsorted, with cache-hit rates), `-exp snapshot`
-// measures the snapshot API under a live writer, `-exp publish` compares
-// incremental snapshot patching against the full-rebuild publish across
-// covering sizes, `-exp remove` compares directory-driven polygon removal
-// against the pre-directory full-quadtree walk, and `-exp compact` compares
-// the publish-latency tail across compaction cycles with the background
-// compactor on vs the inline stop-the-writer rebuild.
+// measures the snapshot API under a live writer, and `-exp shard` measures
+// composed join throughput and cross-shard publish rate by shard count. The
+// publish-path, removal-path and compaction-path comparisons are Go
+// benchmarks in the root package (BenchmarkSnapshotPublishFullRebuildAddRemove,
+// BenchmarkSnapshotRemovePublishWalk, BenchmarkPublishTailLatencyInlineCompaction).
 //
 // Usage:
 //

@@ -50,21 +50,21 @@ import (
 // (bounded by its remaining time — it is already under way) and lands it
 // synchronously instead of paying for an inline rebuild. The inline rebuild
 // remains the fallback of last resort: bulk mutations, replay overflow, and
-// WithBackgroundCompaction(false), which exists as the differential-test
-// reference and operational escape hatch.
+// the Degraded state below (the differential tests also force it through an
+// unexported option, as the reference the compactor is checked against).
 //
 // Failure domain: the compactor goroutine is fully contained. A panic in
 // the build phase is recovered and retried with capped exponential backoff;
 // a panic in the landing phase is recovered (after the deferred mutex
 // unlock, so the writer is never blocked on a dead goroutine) and the
 // result dropped. After maxCompactorFailures consecutive failures the
-// compactor quarantines itself: no further compactions start, the index
-// degrades to the WithBackgroundCompaction(false) behaviour — inline
-// rebuilds at threshold crossings — and Health() reports Degraded with the
-// cause. Close() cancels any in-flight build and waits for the goroutine.
+// compactor quarantines itself: no further compactions start, the shard
+// degrades to inline rebuilds at threshold crossings, and Health() reports
+// Degraded with the cause. Close() cancels any in-flight build and waits
+// for the goroutine.
 
 // Background-compaction tuning. The soft thresholds (arenaMaxGarbageFraction,
-// tableMaxGarbageFraction in actjoin.go) start a compaction; the hard caps
+// tableMaxGarbageFraction in shard.go) start a compaction; the hard caps
 // below bound how far patching may outrun a slow compaction before the
 // writer blocks on it. reconcileMaxDirtyFraction is the patch budget for
 // replaying accumulated churn onto the fresh base — laxer than the
@@ -84,7 +84,7 @@ const (
 // injected error) is retried after compactorRetryBase << attempt, capped at
 // compactorRetryCap; maxCompactorFailures consecutive failures — build or
 // landing, without a successful landing in between — quarantine the
-// compactor for the life of the Index.
+// compactor for the life of the shard.
 const (
 	maxCompactorFailures = 3
 	compactorRetryBase   = 10 * time.Millisecond
@@ -122,7 +122,7 @@ func compactionArenaHeadroom(arenaNodes int) int {
 // result until it closes done; base is an immutable published snapshot; the
 // replay field annotations bind the log to the owning index's mutex.
 type compaction struct {
-	base     *Snapshot      //act:pinned — the frozen snapshot the compactor rebuilds from
+	base     *part          //act:pinned — the frozen snapshot the compactor rebuilds from
 	done     chan struct{}  // closed (via finish) once result is settled; read result only after <-done
 	doneOnce sync.Once      // finish closes done exactly once on every terminal path
 	result   *compactResult // set by finish; nil when the build failed or was cancelled
@@ -139,7 +139,7 @@ type compaction struct {
 	// publish or overflow landed meanwhile): the result must be discarded.
 	// coalescedAt is the log length after the last in-place coalesce, so
 	// re-coalescing only happens once the log has grown well past it.
-	// The mutex is the owning Index's, not the compaction's own.
+	// The mutex is the owning shard's, not the compaction's own.
 	replay      []cellid.CellID //act:guarded mu
 	replayAll   bool            //act:guarded mu
 	coalescedAt int             //act:guarded mu
@@ -204,7 +204,7 @@ func (c *compaction) addReplay(roots []cellid.CellID, all bool) {
 // snapshot and with the writer patching the old chain. cancel (optional)
 // is polled between phases so an abandoned build stops burning CPU;
 // a cancelled build returns nil.
-func compactBase(base *Snapshot, cancel *atomic.Bool) *compactResult {
+func compactBase(base *part, cancel *atomic.Bool) *compactResult {
 	cancelled := func() bool { return cancel != nil && cancel.Load() }
 	cells := base.cells.appendAll(make([]supercover.Cell, 0, base.cells.Len()))
 	if cancelled() {
@@ -245,15 +245,15 @@ func buildCompaction(c *compaction) (res *compactResult, err error) {
 // crossings fall back to inline rebuilds.
 //
 //act:requires mu
-func (ix *Index) startCompactionLocked(base *Snapshot) {
-	if ix.closed || ix.quarantined.Load() != nil {
+func (sh *shard) startCompactionLocked(base *part) {
+	if sh.closed || sh.quarantined.Load() != nil {
 		return
 	}
 	c := &compaction{base: base, done: make(chan struct{}), cancelCh: make(chan struct{})}
-	ix.compacting = c
-	ix.compactionsStarted++
-	ix.compactorWG.Add(1)
-	go ix.runCompaction(c, ix.holdCompaction, ix.compactRetryBase)
+	sh.compacting = c
+	sh.compactionsStarted++
+	sh.compactorWG.Add(1)
+	go sh.runCompaction(c, sh.holdCompaction, sh.compactRetryBase)
 }
 
 // runCompaction is the compactor goroutine: build (with retries), then
@@ -261,13 +261,13 @@ func (ix *Index) startCompactionLocked(base *Snapshot) {
 // last resort for the retry loop itself, quarantining the compactor
 // outright because a failure there means the containment logic — not the
 // build — is broken.
-func (ix *Index) runCompaction(c *compaction, hold chan struct{}, retryBase time.Duration) {
-	defer ix.compactorWG.Done()
+func (sh *shard) runCompaction(c *compaction, hold chan struct{}, retryBase time.Duration) {
+	defer sh.compactorWG.Done()
 	defer func() {
 		if r := recover(); r != nil {
 			c.finish(nil)
-			ix.forceQuarantine(fmt.Errorf("actjoin: compactor failed outside a guarded phase: %v", r))
-			ix.dropCompaction(c)
+			sh.forceQuarantine(fmt.Errorf("actjoin: compactor failed outside a guarded phase: %v", r))
+			sh.dropCompaction(c)
 		}
 	}()
 	if retryBase <= 0 {
@@ -280,7 +280,7 @@ func (ix *Index) runCompaction(c *compaction, hold chan struct{}, retryBase time
 		if res != nil || c.cancel.Load() {
 			break
 		}
-		if ix.noteCompactorFailure(err) {
+		if sh.noteCompactorFailure(err) {
 			break // quarantined; landCompaction clears the registration
 		}
 		select {
@@ -295,7 +295,7 @@ func (ix *Index) runCompaction(c *compaction, hold chan struct{}, retryBase time
 	if hold != nil {
 		<-hold // test hook: keep the result pending until released
 	}
-	ix.landCompaction(c)
+	sh.landCompaction(c)
 }
 
 // landCompaction tries to swap the finished compaction in, containing any
@@ -304,23 +304,23 @@ func (ix *Index) runCompaction(c *compaction, hold chan struct{}, retryBase time
 // writer is unaffected beyond losing the compaction — it keeps patching the
 // old chain, and the next threshold crossing starts (or inlines) a fresh
 // one.
-func (ix *Index) landCompaction(c *compaction) {
-	err := ix.landGuarded(c)
+func (sh *shard) landCompaction(c *compaction) {
+	err := sh.landGuarded(c)
 	if err == nil {
 		return
 	}
-	ix.noteCompactorFailure(err)
-	ix.dropCompaction(c)
+	sh.noteCompactorFailure(err)
+	sh.dropCompaction(c)
 }
 
 // dropCompaction deregisters c if it is still the in-flight compaction — the
 // cleanup shared by every compactor failure path that did not reach the
 // reconcile.
-func (ix *Index) dropCompaction(c *compaction) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.compacting == c {
-		ix.compacting = nil
+func (sh *shard) dropCompaction(c *compaction) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.compacting == c {
+		sh.compacting = nil
 	}
 }
 
@@ -334,28 +334,28 @@ func (ix *Index) dropCompaction(c *compaction) {
 //
 //act:publisher
 //act:seam
-func (ix *Index) landGuarded(c *compaction) (err error) {
+func (sh *shard) landGuarded(c *compaction) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("compaction landing panicked: %v", r)
 		}
 	}()
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.compacting != c {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.compacting != c {
 		return nil // abandoned, or landed by the writer while we built
 	}
 	if c.result == nil {
-		ix.compacting = nil // failed or cancelled build; nothing to land
+		sh.compacting = nil // failed or cancelled build; nothing to land
 		return nil
 	}
 	fault.MustHit(fault.CompactSwap)
-	if s := ix.reconcileLocked(c); s != nil {
+	if s := sh.reconcileLocked(c); s != nil {
 		// The reconciled snapshot is byte-identical to the currently
 		// published one (same cells, same polygons — only the backing
 		// arena, table and rope are fresh), so swapping it in is
 		// invisible to readers and needs no writer involvement.
-		ix.cur.Store(s)
+		sh.cur.Store(onePart(s))
 	}
 	return nil
 }
@@ -366,10 +366,10 @@ func (ix *Index) landGuarded(c *compaction) (err error) {
 // blocks on c.done with mu still in its grip, so the goroutine's failure path must
 // never need the mutex before finish() — taking it here would deadlock the
 // writer against the very failure being recorded.
-func (ix *Index) noteCompactorFailure(err error) bool {
-	ix.compactionsFailed.Add(1)
-	if n := ix.consecCompactFailures.Add(1); n >= maxCompactorFailures {
-		ix.quarantined.CompareAndSwap(nil, &quarantine{cause: fmt.Errorf(
+func (sh *shard) noteCompactorFailure(err error) bool {
+	sh.compactionsFailed.Add(1)
+	if n := sh.consecCompactFailures.Add(1); n >= maxCompactorFailures {
+		sh.quarantined.CompareAndSwap(nil, &quarantine{cause: fmt.Errorf(
 			"actjoin: background compaction quarantined after %d consecutive failures, last: %w", n, err)})
 		return true
 	}
@@ -378,10 +378,10 @@ func (ix *Index) noteCompactorFailure(err error) bool {
 
 // forceQuarantine quarantines the compactor unconditionally (last-resort
 // containment), keeping the first recorded cause.
-func (ix *Index) forceQuarantine(err error) {
-	ix.compactionsFailed.Add(1)
-	ix.consecCompactFailures.Add(1)
-	ix.quarantined.CompareAndSwap(nil, &quarantine{cause: err})
+func (sh *shard) forceQuarantine(err error) {
+	sh.compactionsFailed.Add(1)
+	sh.consecCompactFailures.Add(1)
+	sh.quarantined.CompareAndSwap(nil, &quarantine{cause: err})
 }
 
 // reconcileLocked lands a finished compaction: it re-applies the replay log
@@ -396,39 +396,39 @@ func (ix *Index) forceQuarantine(err error) {
 //
 //act:requires mu
 //act:seam
-func (ix *Index) reconcileLocked(c *compaction) *Snapshot {
-	if ix.compacting != c {
+func (sh *shard) reconcileLocked(c *compaction) *part {
+	if sh.compacting != c {
 		return nil
 	}
-	ix.compacting = nil
+	sh.compacting = nil
 	if c.replayAll {
-		ix.replayPoisoned++
+		sh.replayPoisoned++
 		return nil
 	}
 	if c.result == nil {
 		return nil // failed build landed through the writer's hard-cap wait
 	}
 	if err := fault.Hit(fault.Reconcile); err != nil {
-		ix.reconcileAborts++
+		sh.reconcileAborts++
 		return nil
 	}
 	res := c.result
-	base := &Snapshot{
-		polys:          ix.polys,
+	base := &part{
+		polys:          sh.polys,
 		cells:          res.cells,
 		tree:           res.tree,
 		table:          res.enc.Table().Freeze(),
-		opt:            ix.opt,
-		precisionLevel: ix.precisionLevel,
+		opt:            sh.opt,
+		precisionLevel: sh.precisionLevel,
 	}
-	s := ix.patchSnapshot(base, res.enc, supercover.CoalesceRoots(c.replay), reconcileMaxDirtyFraction)
+	s := sh.patchSnapshot(base, res.enc, supercover.CoalesceRoots(c.replay), reconcileMaxDirtyFraction)
 	if s == nil {
-		ix.reconcileAborts++
+		sh.reconcileAborts++
 		return nil
 	}
-	ix.enc = res.enc
-	ix.compactionsLanded++
-	ix.consecCompactFailures.Store(0)
+	sh.enc = res.enc
+	sh.compactionsLanded++
+	sh.consecCompactFailures.Store(0)
 	return s
 }
 
@@ -438,14 +438,14 @@ func (ix *Index) reconcileLocked(c *compaction) *Snapshot {
 // because bulk churn poisoned the replay log are counted.
 //
 //act:requires mu
-func (ix *Index) abandonCompactionLocked() {
-	c := ix.compacting
+func (sh *shard) abandonCompactionLocked() {
+	c := sh.compacting
 	if c == nil {
 		return
 	}
-	ix.compacting = nil
+	sh.compacting = nil
 	if c.replayAll {
-		ix.replayPoisoned++
+		sh.replayPoisoned++
 	}
 	if !c.cancel.Swap(true) {
 		close(c.cancelCh)
@@ -494,18 +494,37 @@ type PublishStats struct {
 	PublishPanics int
 }
 
-// PublishStats returns the publish-path counters.
+// PublishStats returns the publish-path counters, summed over the shards:
+// the index serves one workload, so the aggregate is what an operator alerts
+// on; per-shard degradation is reported by Health.
 func (ix *Index) PublishStats() PublishStats {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
+	var st PublishStats
+	for _, sh := range ix.shards {
+		s := sh.publishStats()
+		st.Patched += s.Patched
+		st.Full += s.Full
+		st.CompactionsStarted += s.CompactionsStarted
+		st.CompactionsLanded += s.CompactionsLanded
+		st.CompactionsFailed += s.CompactionsFailed
+		st.ReconcileAborts += s.ReconcileAborts
+		st.ReplayPoisoned += s.ReplayPoisoned
+		st.PublishPanics += s.PublishPanics
+	}
+	return st
+}
+
+// publishStats returns one shard's publish-path counters.
+func (sh *shard) publishStats() PublishStats {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	return PublishStats{
-		Patched:            ix.patched,
-		Full:               ix.full,
-		CompactionsStarted: ix.compactionsStarted,
-		CompactionsLanded:  ix.compactionsLanded,
-		CompactionsFailed:  int(ix.compactionsFailed.Load()),
-		ReconcileAborts:    ix.reconcileAborts,
-		ReplayPoisoned:     ix.replayPoisoned,
-		PublishPanics:      ix.publishPanics,
+		Patched:            sh.patched,
+		Full:               sh.full,
+		CompactionsStarted: sh.compactionsStarted,
+		CompactionsLanded:  sh.compactionsLanded,
+		CompactionsFailed:  int(sh.compactionsFailed.Load()),
+		ReconcileAborts:    sh.reconcileAborts,
+		ReplayPoisoned:     sh.replayPoisoned,
+		PublishPanics:      sh.publishPanics,
 	}
 }

@@ -22,18 +22,18 @@ import (
 // waitForSettled blocks until no compaction is in flight (landed or
 // abandoned), failing the test after a deadline — the compactor goroutine
 // takes the writer mutex on its own schedule.
-func waitForSettled(t *testing.T, ix *Index) {
+func waitForSettled(t *testing.T, sh *shard) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		ix.mu.Lock()
-		pending := ix.compacting != nil
-		ix.mu.Unlock()
+		sh.mu.Lock()
+		pending := sh.compacting != nil
+		sh.mu.Unlock()
 		if !pending {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for the in-flight compaction to settle: %+v", ix.PublishStats())
+			t.Fatalf("timed out waiting for the in-flight compaction to settle: %+v", sh.publishStats())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -82,7 +82,7 @@ func TestBackgroundCompactionDifferential(t *testing.T) {
 		t.Fatalf("%d inline full rebuilds vastly exceed the %d abandoned compactions (%+v)",
 			st.Full-1, abandoned, st)
 	}
-	waitForSettled(t, ix) // let any in-flight cycle land (or drop) first
+	waitForSettled(t, ix.shards[0]) // let any in-flight cycle land (or drop) first
 	assertSnapshotsEqual(t, "final", ix.Current(), fullFreeze(ix), probes)
 }
 
@@ -103,7 +103,7 @@ func TestBackgroundCompactionStressRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inline, err := NewIndex(polys, WithCoveringBudget(8, 16), WithBackgroundCompaction(false))
+	inline, err := NewIndex(polys, WithCoveringBudget(8, 16), withBackgroundCompaction(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +252,11 @@ func TestBackgroundCompactionStressRace(t *testing.T) {
 
 // snapshotOffsetCounts counts, per lookup-table offset, how many of the
 // snapshot's cells encode to that record — the reference counts an exact
-// encoder must carry for this snapshot.
+// encoder must carry for this one-shard snapshot.
 func snapshotOffsetCounts(s *Snapshot) map[uint32]int {
 	want := make(map[uint32]int)
 	for _, c := range s.frozenCells() {
-		if e := s.tree.Find(c.ID.RangeMin()); e.Tag() == refs.TagOffset {
+		if e := s.parts[0].tree.Find(c.ID.RangeMin()); e.Tag() == refs.TagOffset {
 			want[e.Offset()]++
 		}
 	}
@@ -282,9 +282,9 @@ func TestAbortedPatchDeferredFallbackLeaksNoGarbage(t *testing.T) {
 	}
 	probes := randPoints(rng, 100)
 	hold := make(chan struct{})
-	ix.mu.Lock()
-	ix.holdCompaction = hold // park finished compactions until released
-	ix.mu.Unlock()
+	ix.shards[0].mu.Lock()
+	ix.shards[0].holdCompaction = hold // park finished compactions until released
+	ix.shards[0].mu.Unlock()
 
 	// Churn until a compaction starts; the hold keeps it pending-ready.
 	for i := 0; ix.PublishStats().CompactionsStarted == 0; i++ {
@@ -299,10 +299,10 @@ func TestAbortedPatchDeferredFallbackLeaksNoGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix.mu.Lock()
-	c := ix.compacting
-	oldEnc := ix.enc
-	ix.mu.Unlock()
+	ix.shards[0].mu.Lock()
+	c := ix.shards[0].compacting
+	oldEnc := ix.shards[0].enc
+	ix.shards[0].mu.Unlock()
 	if c == nil {
 		t.Fatal("compaction landed despite the hold")
 	}
@@ -312,9 +312,9 @@ func TestAbortedPatchDeferredFallbackLeaksNoGarbage(t *testing.T) {
 	// fallback must defer to the pending compaction (landing it
 	// synchronously), not run an inline EncodeAll.
 	prevSnap := ix.Current()
-	ix.mu.Lock()
-	ix.failPatches = 1
-	ix.mu.Unlock()
+	ix.shards[0].mu.Lock()
+	ix.shards[0].failPatches = 1
+	ix.shards[0].mu.Unlock()
 	if _, err := ix.Add(randSquare(rng)); err != nil {
 		t.Fatal(err)
 	}
@@ -325,9 +325,9 @@ func TestAbortedPatchDeferredFallbackLeaksNoGarbage(t *testing.T) {
 	if st.Full != 1 {
 		t.Fatalf("aborted patch fell back to an inline rebuild (%d full publishes) instead of the pending compaction", st.Full)
 	}
-	ix.mu.Lock()
-	swapped := ix.enc != oldEnc
-	ix.mu.Unlock()
+	ix.shards[0].mu.Lock()
+	swapped := ix.shards[0].enc != oldEnc
+	ix.shards[0].mu.Unlock()
 	if !swapped {
 		t.Fatal("landing the compaction did not install the fresh encoder")
 	}
@@ -364,7 +364,7 @@ func TestAbortedPatchDeferredFallbackLeaksNoGarbage(t *testing.T) {
 		}
 	}
 	assertSnapshotsEqual(t, "after deferred fallback", ix.Current(), fullFreeze(ix), probes)
-	if patched, _ := ix.publishCounters(); patched == 0 {
+	if patched, _ := ix.shards[0].publishCounters(); patched == 0 {
 		t.Fatal("incremental path never engaged")
 	}
 }
@@ -392,12 +392,12 @@ func TestBackgroundCompactionResetsMaxCellLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deepLevel := ix.Current().tree.MaxCellLevel()
+	deepLevel := ix.Current().parts[0].tree.MaxCellLevel()
 	fresh, err := NewIndex(polys[:tinyID], WithCoveringBudget(8, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Current().tree.MaxCellLevel()
+	want := fresh.Current().parts[0].tree.MaxCellLevel()
 	if want >= deepLevel {
 		t.Fatalf("fixture broken: remaining polygons reach level %d >= tiny polygon's %d", want, deepLevel)
 	}
@@ -405,7 +405,7 @@ func TestBackgroundCompactionResetsMaxCellLevel(t *testing.T) {
 	if err := ix.Remove(tinyID); err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.Current().tree.MaxCellLevel(); got != deepLevel {
+	if got := ix.Current().parts[0].tree.MaxCellLevel(); got != deepLevel {
 		t.Fatalf("patched MaxCellLevel = %d right after removal; the documented drift keeps %d until a compaction", got, deepLevel)
 	}
 
@@ -417,7 +417,7 @@ func TestBackgroundCompactionResetsMaxCellLevel(t *testing.T) {
 	for {
 		if time.Now().After(deadline) {
 			t.Fatalf("no post-removal compaction reset MaxCellLevel from %d to %d (%+v)",
-				ix.Current().tree.MaxCellLevel(), want, ix.PublishStats())
+				ix.Current().parts[0].tree.MaxCellLevel(), want, ix.PublishStats())
 		}
 		id, err := ix.Add(randSquare(rng))
 		if err != nil {
@@ -428,7 +428,7 @@ func TestBackgroundCompactionResetsMaxCellLevel(t *testing.T) {
 		}
 		st := ix.PublishStats()
 		if st.CompactionsLanded > 0 && st.CompactionsStarted > startedBefore &&
-			ix.Current().tree.MaxCellLevel() == want {
+			ix.Current().parts[0].tree.MaxCellLevel() == want {
 			break
 		}
 	}
@@ -451,9 +451,9 @@ func TestPoisonedReplayFallsBackInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	hold := make(chan struct{})
-	ix.mu.Lock()
-	ix.holdCompaction = hold
-	ix.mu.Unlock()
+	ix.shards[0].mu.Lock()
+	ix.shards[0].holdCompaction = hold
+	ix.shards[0].mu.Unlock()
 	for i := 0; ix.PublishStats().CompactionsStarted == 0; i++ {
 		if i > 2000 {
 			t.Fatal("churn never started a compaction")
@@ -468,11 +468,10 @@ func TestPoisonedReplayFallsBackInline(t *testing.T) {
 	}
 	// A precision retrofit marks the whole covering dirty: the next publish
 	// is a bulk rebuild, which must poison and abandon the compaction.
-	ix.mu.Lock()
-	ix.sc.RefineToPrecision(ix.polys, ix.Current().tree.MaxCellLevel()+1)
-	ix.staged = true
-	ix.publish()
-	ix.mu.Unlock()
+	ix.shards[0].mu.Lock()
+	ix.shards[0].sc.RefineToPrecision(ix.shards[0].polys, ix.Current().parts[0].tree.MaxCellLevel()+1)
+	ix.shards[0].publish()
+	ix.shards[0].mu.Unlock()
 	close(hold)
 
 	st := ix.PublishStats()

@@ -101,7 +101,7 @@ func driveMutations(t *testing.T, ix *Index, seed int64, steps int) [][]byte {
 
 // TestDirectoryRemovalDifferential drives the same long random
 // Add/Remove/Train/Apply/abort sequence through a default index (directory
-// removal) and a WithWalkRemoval index (the pre-directory full walk) and
+// removal) and a withWalkRemoval index (the full-walk oracle) and
 // requires every published snapshot to be byte-identical between the two —
 // the directory changes how a polygon's cells are located, never what gets
 // published.
@@ -112,7 +112,7 @@ func TestDirectoryRemovalDifferential(t *testing.T) {
 	}{
 		{"exact", []Option{WithCoveringBudget(8, 16)}},
 		{"precision", []Option{WithCoveringBudget(8, 16), WithPrecision(2000)}},
-		{"full-publish", []Option{WithCoveringBudget(8, 16), WithIncrementalPublish(false)}},
+		{"full-publish", []Option{WithCoveringBudget(8, 16), withIncrementalPublish(false)}},
 	}
 	for ci, cfg := range configs {
 		cfg := cfg
@@ -131,7 +131,7 @@ func TestDirectoryRemovalDifferential(t *testing.T) {
 				return ix
 			}
 			dir := build()
-			walk := build(WithWalkRemoval(true))
+			walk := build(withWalkRemoval(true))
 
 			dirPub := driveMutations(t, dir, seed*7, 60)
 			walkPub := driveMutations(t, walk, seed*7, 60)
@@ -210,9 +210,9 @@ func TestSerializeRoundTripDirectory(t *testing.T) {
 	}
 	validateWriterDirectory(t, loaded, "loaded directory")
 
-	loaded.mu.Lock()
-	ref := loaded.sc.ReferencedPolygons()
-	loaded.mu.Unlock()
+	loaded.shards[0].mu.Lock()
+	ref := loaded.shards[0].sc.ReferencedPolygons()
+	loaded.shards[0].mu.Unlock()
 	for _, id := range []PolygonID{2, 9} {
 		if ref[id] {
 			t.Fatalf("tombstoned polygon %d still referenced after reload", id)

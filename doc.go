@@ -18,12 +18,12 @@
 //
 // # Concurrency contract
 //
-// The API splits reads from writes around immutable snapshots:
+// The API splits reads from writes around immutable snapshots, with one
+// type for each role:
 //
 //   - Index is the writer handle. Mutations — Add, Remove, Train, and the
-//     transactional Apply — serialize among themselves on an internal
-//     mutex, build the next version of the index off to the side, and
-//     publish it as a new Snapshot with one atomic pointer swap. Writers
+//     transactional Apply with its Tx — build the next version of the index
+//     off to the side and publish it with an atomic pointer swap. Writers
 //     never block queries and queries never block writers.
 //   - Snapshot carries every read operation (Covers, CoversApprox,
 //     CoversBatch, JoinCount, Stats, WriteTo, ...). A snapshot never
@@ -31,35 +31,35 @@
 //     unlimited concurrent use and take no locks, and a query sequence
 //     against one snapshot — including a long batch join — observes a
 //     single consistent polygon set. Obtain the latest via Index.Current
-//     (one atomic load) whenever a fresher view is wanted.
-//   - The query methods still present on Index are deprecated forwarders
-//     that delegate to Current(); consecutive calls through them may
-//     observe different snapshots while writers are active.
+//     whenever a fresher view is wanted.
+//   - Health reports whether the index runs at full capability, per shard.
 //
-// For multi-core deployments, ShardedIndex partitions the covering into
-// contiguous cell-id ranges, each served by an independent shard (a
-// complete Index with its own writer mutex and background compactor), so
-// writers on different shards publish concurrently and shard failures
-// are isolated (Health reports per-shard state; ShardOf maps a point to
-// its failure domain). Its Current returns a ShardedSnapshot — a
-// generation-consistent cut across all shards taken under a seqlock, so
-// a composed view never observes half of a cross-shard Apply or Train —
-// with the same read surface and byte-identical WriteTo output as an
-// unsharded index over the same polygons. Lock order is
-// registry > commit lock > one shard's mutex; no path holds two shards'
-// mutexes at once.
+// # Shards
 //
-// Publishes are incremental by default: a mutation patches the previous
-// snapshot (splicing clean cell runs, delta-encoding only dirty regions,
+// An Index partitions its covering into contiguous cell-id ranges, each
+// served by a shard with its own writer mutex and background compactor.
+// NewIndex builds one shard — the paper's index, for which Current is a
+// single atomic load. NewShardedIndex builds more, for multi-core
+// deployments: writers on different shards publish concurrently and shard
+// failures are isolated (Health reports per-shard state; ShardOf maps a
+// point to its failure domain). Current then returns a
+// generation-consistent cut across all shards taken under a seqlock, so a
+// view never observes half of a cross-shard Apply or Train. Every shard
+// count answers every query identically, and serializes byte-identically
+// as long as no covering cell had to be split at a shard boundary.
+// Lock order is registry > commit lock > one shard's mutex; no path holds
+// two shards' mutexes at once.
+//
+// Publishes are incremental: a mutation patches the previous snapshot
+// (splicing clean cell runs, delta-encoding only dirty regions,
 // copy-on-write patching of the trie arena), so its latency is
 // proportional to the mutation — O(covering) for Add, O(footprint) for
 // Remove via the per-polygon cell directory — not to the index. The
 // garbage patching accumulates is reorganized by a background compactor
 // goroutine that rebuilds from a frozen snapshot with no writer lock held
-// and reconciles under the mutex when done, keeping even
-// threshold-crossing publishes mutation-sized (see WithIncrementalPublish,
-// WithBackgroundCompaction and docs/ARCHITECTURE.md for the full
-// pipeline).
+// and reconciles under the shard's mutex when done, keeping even
+// threshold-crossing publishes mutation-sized (see docs/ARCHITECTURE.md for
+// the full pipeline).
 //
 // Quick start:
 //

@@ -28,20 +28,20 @@ import (
 
 // setRetryBase shortens the compactor's failure backoff so quarantine tests
 // converge in milliseconds instead of seconds.
-func setRetryBase(ix *Index, d time.Duration) {
-	ix.mu.Lock()
-	ix.compactRetryBase = d
-	ix.mu.Unlock()
+func setRetryBase(sh *shard, d time.Duration) {
+	sh.mu.Lock()
+	sh.compactRetryBase = d
+	sh.mu.Unlock()
 }
 
 // holdCompactions installs the test hook that parks every compactor
 // goroutine between build completion and landing, returning the release
 // function (idempotent: releasing once lets every later compaction through).
-func holdCompactions(ix *Index) (release func()) {
+func holdCompactions(sh *shard) (release func()) {
 	hold := make(chan struct{})
-	ix.mu.Lock()
-	ix.holdCompaction = hold
-	ix.mu.Unlock()
+	sh.mu.Lock()
+	sh.holdCompaction = hold
+	sh.mu.Unlock()
 	released := false
 	return func() {
 		if !released {
@@ -133,7 +133,7 @@ func chaosRun(t *testing.T, seed int64) {
 	baseGoroutines := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(seed))
 	ix := chaosIndex(t, rng, 20)
-	setRetryBase(ix, time.Millisecond)
+	setRetryBase(ix.shards[0], time.Millisecond)
 	probes := randPoints(rng, 60)
 
 	sched := fault.RandomSchedule(seed, nil, 12, 8, 0.5)
@@ -234,7 +234,7 @@ func chaosRun(t *testing.T, seed int64) {
 		}
 	}
 
-	waitForSettled(t, ix)
+	waitForSettled(t, ix.shards[0])
 	if err := ix.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -249,7 +249,7 @@ func chaosRun(t *testing.T, seed int64) {
 func TestCompactorPanicQuarantine(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	ix := chaosIndex(t, rng, 40)
-	setRetryBase(ix, time.Millisecond)
+	setRetryBase(ix.shards[0], time.Millisecond)
 
 	fault.Enable(fault.NewSchedule(fault.Rule{
 		Point: fault.CompactBuild, Nth: 1, Times: fault.Forever, Mode: fault.Panic,
@@ -267,7 +267,7 @@ func TestCompactorPanicQuarantine(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	waitForSettled(t, ix)
+	waitForSettled(t, ix.shards[0])
 
 	h := ix.Health()
 	if h.State != Degraded || h.Cause == nil {
@@ -323,7 +323,7 @@ func TestCompactorPanicQuarantine(t *testing.T) {
 func TestCompactorRetriesTransientFailures(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	ix := chaosIndex(t, rng, 40)
-	setRetryBase(ix, time.Millisecond)
+	setRetryBase(ix.shards[0], time.Millisecond)
 
 	fault.Enable(fault.NewSchedule(fault.Rule{
 		Point: fault.CompactBuild, Nth: 1, Times: 2, Mode: fault.Error,
@@ -331,7 +331,7 @@ func TestCompactorRetriesTransientFailures(t *testing.T) {
 	t.Cleanup(fault.Disable)
 
 	churnUntil(t, ix, rng, 5000, func(st PublishStats) bool { return st.CompactionsLanded >= 1 })
-	waitForSettled(t, ix)
+	waitForSettled(t, ix.shards[0])
 
 	st := ix.PublishStats()
 	if st.CompactionsFailed < 2 {
@@ -340,7 +340,7 @@ func TestCompactorRetriesTransientFailures(t *testing.T) {
 	if h := ix.Health(); h.State != Healthy {
 		t.Fatalf("Health = %+v, want Healthy after transient failures", h)
 	}
-	if n := ix.consecCompactFailures.Load(); n != 0 {
+	if n := ix.shards[0].consecCompactFailures.Load(); n != 0 {
 		t.Fatalf("consecutive failure count = %d after a successful landing, want 0", n)
 	}
 	fault.Disable()
@@ -357,7 +357,7 @@ func TestCompactorRetriesTransientFailures(t *testing.T) {
 // deterministic phase.
 func startHeldCompaction(t *testing.T, ix *Index, rng *rand.Rand) func() {
 	t.Helper()
-	release := holdCompactions(ix)
+	release := holdCompactions(ix.shards[0])
 	churnUntil(t, ix, rng, 2000, func(st PublishStats) bool { return st.CompactionsStarted >= 1 })
 	return release
 }
@@ -378,7 +378,7 @@ func TestCompactSwapFaultDropsCompaction(t *testing.T) {
 	}))
 	t.Cleanup(fault.Disable)
 	release()
-	waitForSettled(t, ix)
+	waitForSettled(t, ix.shards[0])
 
 	st := ix.PublishStats()
 	if st.CompactionsFailed < 1 || st.CompactionsLanded != 0 {
@@ -419,7 +419,7 @@ func TestReconcileFaultAbortsLanding(t *testing.T) {
 	}))
 	t.Cleanup(fault.Disable)
 	release()
-	waitForSettled(t, ix)
+	waitForSettled(t, ix.shards[0])
 
 	st := ix.PublishStats()
 	if st.ReconcileAborts < 1 || st.CompactionsLanded != 0 {
@@ -454,7 +454,7 @@ func TestReconcileLayoutRefusalAborts(t *testing.T) {
 	}))
 	t.Cleanup(fault.Disable)
 	release()
-	waitForSettled(t, ix)
+	waitForSettled(t, ix.shards[0])
 	fault.Disable() // disarm before the writer patches again
 
 	st := ix.PublishStats()
@@ -483,19 +483,19 @@ func TestReconcileBudgetExceededAborts(t *testing.T) {
 	release := startHeldCompaction(t, ix, rng)
 	defer release()
 
-	ix.mu.Lock()
-	c := ix.compacting
+	ix.shards[0].mu.Lock()
+	c := ix.shards[0].compacting
 	if c == nil {
-		ix.mu.Unlock()
+		ix.shards[0].mu.Unlock()
 		t.Fatal("no compaction in flight after churn")
 	}
-	for _, cell := range ix.sc.Cells() {
+	for _, cell := range ix.shards[0].sc.Cells() {
 		c.replay = append(c.replay, cell.ID)
 	}
-	ix.mu.Unlock()
+	ix.shards[0].mu.Unlock()
 
 	release()
-	waitForSettled(t, ix)
+	waitForSettled(t, ix.shards[0])
 
 	st := ix.PublishStats()
 	if st.ReconcileAborts < 1 || st.CompactionsLanded != 0 {
@@ -521,16 +521,16 @@ func TestPoisonedReplayDropsResult(t *testing.T) {
 	release := startHeldCompaction(t, ix, rng)
 	defer release()
 
-	ix.mu.Lock()
-	if ix.compacting == nil {
-		ix.mu.Unlock()
+	ix.shards[0].mu.Lock()
+	if ix.shards[0].compacting == nil {
+		ix.shards[0].mu.Unlock()
 		t.Fatal("no compaction in flight after churn")
 	}
-	ix.compacting.replayAll = true
-	ix.mu.Unlock()
+	ix.shards[0].compacting.replayAll = true
+	ix.shards[0].mu.Unlock()
 
 	release()
-	waitForSettled(t, ix)
+	waitForSettled(t, ix.shards[0])
 
 	st := ix.PublishStats()
 	if st.ReplayPoisoned < 1 || st.CompactionsLanded != 0 {
@@ -599,7 +599,7 @@ func TestFullFreezeFaultRollsBackMutation(t *testing.T) {
 		polys[i] = randSquare(rng)
 	}
 	// Full publishes only: every Add goes straight down the path under test.
-	ix, err := NewIndex(polys, WithCoveringBudget(8, 16), WithIncrementalPublish(false))
+	ix, err := NewIndex(polys, WithCoveringBudget(8, 16), withIncrementalPublish(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +618,7 @@ func TestFullFreezeFaultRollsBackMutation(t *testing.T) {
 	if got := ix.Current(); got != prev {
 		t.Fatal("failed publish replaced the published snapshot")
 	}
-	if got := len(ix.Current().polys); got != 5 {
+	if got := len(ix.Current().parts[0].polys); got != 5 {
 		t.Fatalf("failed Add leaked a polygon: snapshot has %d, want 5", got)
 	}
 	if st := ix.PublishStats(); st.PublishPanics < 1 {
@@ -687,7 +687,7 @@ func TestApplyRollsBackOnPublishFault(t *testing.T) {
 	if got := ix.Current(); got != prev {
 		t.Fatal("failed Apply replaced the published snapshot")
 	}
-	if got := len(ix.Current().polys); got != 10 {
+	if got := len(ix.Current().parts[0].polys); got != 10 {
 		t.Fatalf("failed Apply leaked polygons: snapshot has %d, want 10", got)
 	}
 	if _, err := ix.Add(randSquare(rng)); err != nil {
@@ -745,7 +745,7 @@ func TestCloseLifecycle(t *testing.T) {
 func TestCloseCancelsBackoffWait(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	ix := chaosIndex(t, rng, 40)
-	setRetryBase(ix, 30*time.Second)
+	setRetryBase(ix.shards[0], 30*time.Second)
 
 	fault.Enable(fault.NewSchedule(fault.Rule{
 		Point: fault.CompactBuild, Nth: 1, Times: 1, Mode: fault.Error,
@@ -795,7 +795,7 @@ func TestNoGoroutineLeakAcrossLifecycles(t *testing.T) {
 // tests share: two well-separated polygon clusters give the router a split it
 // cannot miss, and the tight covering budgets make per-shard compaction
 // thresholds reachable in tens of mutations.
-func shardedChaosIndex(t *testing.T, rng *rand.Rand) (*ShardedIndex, []Polygon) {
+func shardedChaosIndex(t *testing.T, rng *rand.Rand) (*Index, []Polygon) {
 	t.Helper()
 	var polys []Polygon
 	for i := 0; i < 20; i++ {
@@ -827,10 +827,10 @@ func polyCenter(p Polygon) Point {
 // shardOwning returns the shard whose key range holds p, found by probing the
 // per-shard snapshots: the covering is disjoint and ranges contiguous, so
 // exactly one shard answers for any covered point.
-func shardOwning(t *testing.T, six *ShardedIndex, p Point) int {
+func shardOwning(t *testing.T, six *Index, p Point) int {
 	t.Helper()
-	for si, sh := range six.Current().shards {
-		if len(sh.Covers(p)) > 0 {
+	for si, sh := range six.shards {
+		if len(sh.cur.Load().Covers(p)) > 0 {
 			return si
 		}
 	}
@@ -861,10 +861,10 @@ func TestShardQuarantineIsolation(t *testing.T) {
 	// Churn only cluster 0: every compaction the fault can reach belongs to
 	// the target shard, so only it can quarantine.
 	deadline := time.Now().Add(30 * time.Second)
-	for i := 0; six.shards[target].Health().State != Degraded; i++ {
+	for i := 0; six.shards[target].health().State != Degraded; i++ {
 		if time.Now().After(deadline) {
 			t.Fatalf("target shard never quarantined after %d churn ops: %+v",
-				i, six.shards[target].PublishStats())
+				i, six.shards[target].publishStats())
 		}
 		id, err := six.Add(clusterSquare(rng, 0))
 		if err != nil {
@@ -896,7 +896,7 @@ func TestShardQuarantineIsolation(t *testing.T) {
 
 	// The sibling's failure domain is untouched: it keeps publishing with no
 	// failures while the target stays quarantined.
-	before := six.shards[sibling].PublishStats()
+	before := six.shards[sibling].publishStats()
 	for i := 0; i < 50; i++ {
 		id, err := six.Add(clusterSquare(rng, 1))
 		if err != nil {
@@ -907,22 +907,22 @@ func TestShardQuarantineIsolation(t *testing.T) {
 		}
 	}
 	waitForSettled(t, six.shards[sibling])
-	after := six.shards[sibling].PublishStats()
+	after := six.shards[sibling].publishStats()
 	if after.CompactionsFailed != before.CompactionsFailed {
 		t.Fatalf("sibling compactor failed during the target's quarantine: %+v -> %+v", before, after)
 	}
 	if after.Patched+after.Full <= before.Patched+before.Full {
 		t.Fatalf("sibling stopped publishing during the target's quarantine: %+v -> %+v", before, after)
 	}
-	if got := six.shards[target].Health().State; got != Degraded {
+	if got := six.shards[target].health().State; got != Degraded {
 		t.Fatalf("target shard recovered to %v without intervention", got)
 	}
 
 	// Recovery: every shard — quarantined or not — rebuilds byte-identically,
-	// and the composed stream round-trips through an unsharded load.
+	// and the composed stream round-trips through a one-shard load.
 	probes := randPoints(rng, 60)
 	for si, sh := range six.shards {
-		assertSnapshotsEqual(t, fmt.Sprintf("shard %d rebuild", si), sh.Current(), fullFreeze(sh), probes)
+		assertSnapshotsEqual(t, fmt.Sprintf("shard %d rebuild", si), sh.cur.Load(), onePart(fullFreezeShard(sh)), probes)
 	}
 	var buf bytes.Buffer
 	if _, err := six.Current().WriteTo(&buf); err != nil {
@@ -979,7 +979,7 @@ func TestShardCommitRollback(t *testing.T) {
 	addA, addB := clusterSquare(rng, 0), clusterSquare(rng, 1)
 	apply := func() ([]PolygonID, error) {
 		var ids []PolygonID
-		err := six.Apply(func(tx *ShardTx) error {
+		err := six.Apply(func(tx *Tx) error {
 			for _, p := range []Polygon{addA, addB} {
 				id, err := tx.Add(p)
 				if err != nil {
@@ -1031,7 +1031,7 @@ func TestShardCommitRollback(t *testing.T) {
 		t.Fatalf("recommitted batch not visible: Removed = %v, %v", s.Removed(ids[0]), s.Removed(ids[1]))
 	}
 	for si, sh := range six.shards {
-		assertSnapshotsEqual(t, fmt.Sprintf("shard %d after recommit", si), sh.Current(), fullFreeze(sh), probes)
+		assertSnapshotsEqual(t, fmt.Sprintf("shard %d after recommit", si), sh.cur.Load(), onePart(fullFreezeShard(sh)), probes)
 	}
 }
 
@@ -1040,7 +1040,7 @@ func TestShardCommitRollback(t *testing.T) {
 // including ShardCommit) fires under randomized single- and cross-shard
 // mutations. Invariants, checked with faults disarmed mid-run and at the end:
 // every shard is byte-identical to a from-scratch freeze of its writer state,
-// the composed serialization round-trips through an unsharded load, pinned
+// the composed serialization round-trips through a one-shard load, pinned
 // composed snapshots never change their answers, and Close leaks nothing.
 func TestShardedChaos(t *testing.T) {
 	seeds := 3
@@ -1073,7 +1073,7 @@ func shardedChaosRun(t *testing.T, seed int64) {
 		fault.Disable()
 		defer fault.Enable(sched)
 		for si, sh := range six.shards {
-			assertSnapshotsEqual(t, fmt.Sprintf("%s shard %d", ctx, si), sh.Current(), fullFreeze(sh), probes)
+			assertSnapshotsEqual(t, fmt.Sprintf("%s shard %d", ctx, si), sh.cur.Load(), onePart(fullFreezeShard(sh)), probes)
 		}
 		var buf bytes.Buffer
 		if _, err := six.Current().WriteTo(&buf); err != nil {
@@ -1096,7 +1096,7 @@ func shardedChaosRun(t *testing.T, seed int64) {
 	}
 
 	type pinnedView struct {
-		s       *ShardedSnapshot
+		s       *Snapshot
 		answers [][]PolygonID
 	}
 	var pins []pinnedView
@@ -1132,7 +1132,7 @@ func shardedChaosRun(t *testing.T, seed int64) {
 			}
 		case 7:
 			var ids []PolygonID
-			err := six.Apply(func(tx *ShardTx) error {
+			err := six.Apply(func(tx *Tx) error {
 				for k := 0; k < 2; k++ {
 					id, err := tx.Add(clusterSquare(rng, k))
 					if err != nil {

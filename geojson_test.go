@@ -58,10 +58,10 @@ func TestPolygonsFromGeoJSONFeatureCollection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := idx.Covers(Point{Lon: -73.985, Lat: 40.715}); len(got) != 1 || got[0] != 0 {
+	if got := idx.Current().Covers(Point{Lon: -73.985, Lat: 40.715}); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Covers in Alpha = %v", got)
 	}
-	if got := idx.Covers(Point{Lon: -73.965, Lat: 40.765}); len(got) != 0 {
+	if got := idx.Current().Covers(Point{Lon: -73.965, Lat: 40.765}); len(got) != 0 {
 		t.Errorf("point in hole matched %v", got)
 	}
 }

@@ -53,7 +53,7 @@ func TestAllExactPathsAgree(t *testing.T) {
 	for i, p := range pts {
 		pubPts[i] = Point{Lon: p.X, Lat: p.Y}
 	}
-	pub := idx.Join(pubPts, true, 2)
+	pub := idx.Current().JoinCount(pubPts, QueryOptions{Exact: true, Threads: 2})
 	for pid := range polys {
 		if pub.Counts[pid] != oracle[pid] {
 			t.Errorf("public API: polygon %d count %d, oracle %d", pid, pub.Counts[pid], oracle[pid])
@@ -109,7 +109,7 @@ func TestApproximatePathsBounded(t *testing.T) {
 	for i, p := range pts {
 		pubPts[i] = Point{Lon: p.X, Lat: p.Y}
 	}
-	approx := idx.Join(pubPts, false, 2)
+	approx := idx.Current().JoinCount(pubPts, QueryOptions{Exact: false, Threads: 2})
 	if approx.PIPTests != 0 {
 		t.Error("approximate join must not PIP-test")
 	}
@@ -166,7 +166,7 @@ func TestTrainedIndexStillAgrees(t *testing.T) {
 	for i, p := range pts {
 		pubPts[i] = Point{Lon: p.X, Lat: p.Y}
 	}
-	res := idx.Join(pubPts, true, 2)
+	res := idx.Current().JoinCount(pubPts, QueryOptions{Exact: true, Threads: 2})
 	for pid := range polys {
 		if res.Counts[pid] != oracle[pid] {
 			t.Errorf("trained index: polygon %d count %d, oracle %d", pid, res.Counts[pid], oracle[pid])

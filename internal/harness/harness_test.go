@@ -23,11 +23,11 @@ func tinyEnv() *Env {
 
 func TestRegistryComplete(t *testing.T) {
 	// Every table (1-7) and figure (7-11) of the paper must be present, plus
-	// the batch-engine, snapshot-API, publish-path and removal experiments.
+	// the batch-engine, snapshot-API and sharded-engine experiments.
 	want := []string{
 		"table1", "table2", "table3", "table4", "table5", "table6", "table7",
 		"fig7left", "fig7mid", "fig7right", "fig8", "fig9", "fig10", "fig11",
-		"batch", "snapshot", "publish", "remove", "compact", "shard",
+		"batch", "snapshot", "shard",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
@@ -109,9 +109,6 @@ func TestExperimentsRunTiny(t *testing.T) {
 		"fig10":     {"SI1", "SI10", "RT", "PG"},
 		"fig11":     {"GPU", "passes", "exact"},
 		"batch":     {"per-point", "batch sorted", "taxi", "uniform", "cache-hit%"},
-		"publish":   {"full ms/publish", "incremental ms/publish", "speedup"},
-		"remove":    {"footprint", "walk ms/remove", "directory ms/remove", "speedup"},
-		"compact":   {"inline", "background", "cycles", "worst ms/publish"},
 	}
 	for _, exp := range All() {
 		exp := exp

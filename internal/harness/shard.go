@@ -11,8 +11,8 @@ import (
 )
 
 // Shard sweeps the sharded engine against the single-shard baseline: for
-// each shard count it builds a ShardedIndex over the neighborhoods mesh and
-// measures composed batch-join throughput (single- and all-threads) plus the
+// each shard count it builds an Index of that many shards over the
+// neighborhoods mesh and measures composed batch-join throughput (single- and all-threads) plus the
 // aggregate publish rate with one churn writer per shard, each targeting its
 // own shard's key range. The join columns show the cost of the radix split
 // and fan-out at 1 thread and its payoff with threads to spare; the publish
@@ -70,7 +70,7 @@ func (e *Env) Shard(w io.Writer) error {
 
 // parallelPublishRate runs one Add/Remove churn writer per shard, each
 // against its own shard's key range, and returns the aggregate publish rate.
-func parallelPublishRate(six *actjoin.ShardedIndex, bound geom.Rect) (float64, error) {
+func parallelPublishRate(six *actjoin.Index, bound geom.Rect) (float64, error) {
 	targets := shardTargets(six, bound)
 	const pairsPerWriter = 40
 	errs := make([]error, len(targets))
@@ -108,7 +108,7 @@ func parallelPublishRate(six *actjoin.ShardedIndex, bound geom.Rect) (float64, e
 // over the dataset bound through ShardOf. Shards whose key range holds no
 // grid point (possible under an extremely skewed split) simply get no
 // writer.
-func shardTargets(six *actjoin.ShardedIndex, bound geom.Rect) []actjoin.Point {
+func shardTargets(six *actjoin.Index, bound geom.Rect) []actjoin.Point {
 	targets := make([]actjoin.Point, six.NumShards())
 	found := make([]bool, six.NumShards())
 	n := 0

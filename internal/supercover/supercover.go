@@ -254,7 +254,7 @@ type BuildTiming struct {
 func BuildTimed(polys []*geom.Polygon, opt Options) (*SuperCovering, BuildTiming) {
 	var t BuildTiming
 	start := time.Now()
-	coverings, interiors := computeCoverings(polys, opt)
+	coverings, interiors := Coverings(polys, opt)
 	t.IndividualCoverings = time.Since(start)
 
 	start = time.Now()
@@ -268,12 +268,15 @@ func BuildTimed(polys []*geom.Polygon, opt Options) (*SuperCovering, BuildTiming
 // super covering per Listing 1: coverings first with candidate references,
 // then interior coverings with true-hit references.
 func Build(polys []*geom.Polygon, opt Options) *SuperCovering {
-	coverings, interiors := computeCoverings(polys, opt)
+	coverings, interiors := Coverings(polys, opt)
 	return merge(polys, coverings, interiors)
 }
 
-// computeCoverings runs the per-polygon coverers in parallel.
-func computeCoverings(polys []*geom.Polygon, opt Options) (coverings, interiors [][]cellid.CellID) {
+// Coverings computes every polygon's covering and interior covering,
+// running the per-polygon coverers in parallel (as in the paper). Build
+// merges them into one super covering; a sharded index routes them to
+// per-shard coverings first.
+func Coverings(polys []*geom.Polygon, opt Options) (coverings, interiors [][]cellid.CellID) {
 	coverings = make([][]cellid.CellID, len(polys))
 	interiors = make([][]cellid.CellID, len(polys))
 

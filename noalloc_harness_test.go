@@ -84,4 +84,15 @@ func TestNoAllocHarness(t *testing.T) {
 		cur := ropeCursor{rope: frag, ri: 1, off: 10}
 		cur.copyRest(out)
 	})
+
+	// A one-shard index hands out its shard's published snapshot as is:
+	// pinning a view costs one atomic load and no allocation.
+	ix, err := NewIndex(testPolygons())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	testAllocs(t, "Index.Current (one shard)", func() {
+		allocSink += len(ix.Current().parts)
+	})
 }

@@ -18,44 +18,62 @@ import (
 // indistinguishable from freezing the writer state from scratch, and an
 // aborted transaction must leave no trace whatsoever.
 
-// fullFreeze builds a snapshot of the writer's current state through the
-// one-shot pipeline the pre-incremental publish used: full cell walk, full
-// encode, full trie build. It takes the writer mutex: the caller's own
-// goroutine must be between mutations, but a background compactor may be
-// landing its result concurrently (it is a writer too, and freezing the
-// covering normalizes node reference lists in place).
+// fullFreeze builds a snapshot of the index's current writer state through
+// the one-shot pipeline the pre-incremental publish used, shard by shard:
+// full cell walk, full encode, full trie build. It takes each shard's
+// writer mutex: the caller's own goroutine must be between mutations, but a
+// background compactor may be landing its result concurrently (it is a
+// writer too, and freezing the covering normalizes node reference lists in
+// place).
 func fullFreeze(ix *Index) *Snapshot {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	cells := ix.sc.Cells()
+	parts := make([]*part, len(ix.shards))
+	for i, sh := range ix.shards {
+		parts[i] = fullFreezeShard(sh)
+	}
+	return &Snapshot{parts: parts, router: ix.router}
+}
+
+// fullFreezeShard is fullFreeze for one shard.
+func fullFreezeShard(sh *shard) *part {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	cells := sh.sc.Cells()
 	kvs, table := cellindex.Encode(cells)
-	return &Snapshot{
-		polys:          ix.polys,
+	return &part{
+		polys:          sh.polys,
 		cells:          ropeFromCells(cells),
-		tree:           act.Build(kvs, ix.opt.delta),
+		tree:           act.Build(kvs, sh.opt.delta),
 		table:          table,
-		opt:            ix.opt,
-		precisionLevel: ix.precisionLevel,
+		opt:            sh.opt,
+		precisionLevel: sh.precisionLevel,
 	}
 }
 
-// writerCells freezes the writer-side covering under the mutex: a background
-// compactor landing its result counts as a writer, and freezing normalizes
-// node reference lists in place.
+// writerCells freezes the writer-side coverings under each shard's mutex,
+// concatenated in shard (and so cell-id) order: a background compactor
+// landing its result counts as a writer, and freezing normalizes node
+// reference lists in place.
 func writerCells(ix *Index) []supercover.Cell {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.sc.Cells()
+	var out []supercover.Cell
+	for _, sh := range ix.shards {
+		sh.mu.Lock()
+		out = append(out, sh.sc.Cells()...)
+		sh.mu.Unlock()
+	}
+	return out
 }
 
-// validateWriterDirectory runs ValidateDirectory under the writer mutex.
+// validateWriterDirectory runs ValidateDirectory on every shard under its
+// writer mutex.
 func validateWriterDirectory(t *testing.T, ix *Index, ctx string) {
 	t.Helper()
-	ix.mu.Lock()
-	err := ix.sc.ValidateDirectory()
-	ix.mu.Unlock()
-	if err != nil {
-		t.Fatalf("%s: %v", ctx, err)
+	for si, sh := range ix.shards {
+		sh.mu.Lock()
+		err := sh.sc.ValidateDirectory()
+		sh.mu.Unlock()
+		if err != nil {
+			t.Fatalf("%s: shard %d: %v", ctx, si, err)
+		}
 	}
 }
 
@@ -239,7 +257,7 @@ func TestIncrementalPublishDifferential(t *testing.T) {
 				assertSnapshotsEqual(t, fmt.Sprintf("%s step %d", cfg.name, step),
 					ix.Current(), fullFreeze(ix), probes)
 			}
-			if patched, full := ix.publishCounters(); patched == 0 {
+			if patched, full := ix.shards[0].publishCounters(); patched == 0 {
 				t.Fatalf("incremental path never engaged (%d full publishes)", full)
 			}
 		})
@@ -342,7 +360,7 @@ func TestPublishCompactionTriggers(t *testing.T) {
 	for i := range polys {
 		polys[i] = randSquare(rng)
 	}
-	ix, err := NewIndex(polys, WithCoveringBudget(8, 16), WithBackgroundCompaction(false))
+	ix, err := NewIndex(polys, WithCoveringBudget(8, 16), withBackgroundCompaction(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +377,7 @@ func TestPublishCompactionTriggers(t *testing.T) {
 			assertSnapshotsEqual(t, fmt.Sprintf("churn %d", i), ix.Current(), fullFreeze(ix), probes)
 		}
 	}
-	patched, full := ix.publishCounters()
+	patched, full := ix.shards[0].publishCounters()
 	if patched == 0 {
 		t.Fatal("incremental path never engaged")
 	}
@@ -368,7 +386,7 @@ func TestPublishCompactionTriggers(t *testing.T) {
 			patched, full)
 	}
 	if st := ix.PublishStats(); st.CompactionsStarted != 0 {
-		t.Fatalf("%d background compactions despite WithBackgroundCompaction(false)", st.CompactionsStarted)
+		t.Fatalf("%d background compactions despite withBackgroundCompaction(false)", st.CompactionsStarted)
 	}
 	assertSnapshotsEqual(t, "final", ix.Current(), fullFreeze(ix), probes)
 }
@@ -381,7 +399,7 @@ func TestIncrementalPublishDisabled(t *testing.T) {
 	for i := range polys {
 		polys[i] = randSquare(rng)
 	}
-	ix, err := NewIndex(polys, WithCoveringBudget(8, 16), WithIncrementalPublish(false))
+	ix, err := NewIndex(polys, WithCoveringBudget(8, 16), withIncrementalPublish(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,8 +409,8 @@ func TestIncrementalPublishDisabled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if patched, _ := ix.publishCounters(); patched != 0 {
-		t.Fatalf("%d patched publishes despite WithIncrementalPublish(false)", patched)
+	if patched, _ := ix.shards[0].publishCounters(); patched != 0 {
+		t.Fatalf("%d patched publishes despite withIncrementalPublish(false)", patched)
 	}
 	assertSnapshotsEqual(t, "full-only", ix.Current(), fullFreeze(ix), probes)
 }
@@ -439,7 +457,7 @@ func TestStatsExcludeOrphans(t *testing.T) {
 	if !sawOrphans {
 		t.Fatal("Add/Remove churn never orphaned a trie node")
 	}
-	if patched, _ := ix.publishCounters(); patched == 0 {
+	if patched, _ := ix.shards[0].publishCounters(); patched == 0 {
 		t.Fatal("incremental path never engaged")
 	}
 }
@@ -470,8 +488,8 @@ func TestFullRebuildResetsSnapshotMaxCellLevel(t *testing.T) {
 		return ix
 	}
 	inc := build()
-	full := build(WithIncrementalPublish(false))
-	deepLevel := inc.Current().tree.MaxCellLevel()
+	full := build(withIncrementalPublish(false))
+	deepLevel := inc.Current().parts[0].tree.MaxCellLevel()
 
 	if err := inc.Remove(tinyID); err != nil {
 		t.Fatal(err)
@@ -479,18 +497,18 @@ func TestFullRebuildResetsSnapshotMaxCellLevel(t *testing.T) {
 	if err := full.Remove(tinyID); err != nil {
 		t.Fatal(err)
 	}
-	if got := inc.Current().tree.MaxCellLevel(); got != deepLevel {
+	if got := inc.Current().parts[0].tree.MaxCellLevel(); got != deepLevel {
 		t.Fatalf("incremental MaxCellLevel = %d after removal; the documented drift keeps %d", got, deepLevel)
 	}
 	fresh, err := NewIndex(polys[:tinyID], WithCoveringBudget(8, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Current().tree.MaxCellLevel()
+	want := fresh.Current().parts[0].tree.MaxCellLevel()
 	if want >= deepLevel {
 		t.Fatalf("fixture broken: remaining polygons reach level %d >= tiny polygon's %d", want, deepLevel)
 	}
-	if got := full.Current().tree.MaxCellLevel(); got != want {
+	if got := full.Current().parts[0].tree.MaxCellLevel(); got != want {
 		t.Fatalf("full rebuild MaxCellLevel = %d after removal, want reset to %d", got, want)
 	}
 }

@@ -30,7 +30,13 @@ import (
 // Serialization reads from a Snapshot, which owns a frozen copy of exactly
 // those two inputs: WriteTo can therefore run concurrently with writers on
 // the owning Index and always serializes the consistent state the snapshot
-// was published with.
+// was published with. The format knows nothing of shards: shard ranges are
+// contiguous and the super covering disjoint, so concatenating the shards'
+// frozen cells in shard order IS global cell-id order, and the polygon set
+// is the shards' nil-masked slices merged by first non-nil slot. An index
+// whose covering never needed boundary decomposition (see Index) therefore
+// serializes byte-identically at every shard count, and ReadIndexFrom
+// loads any stream into a one-shard Index.
 //
 // Layout (little-endian):
 //
@@ -44,13 +50,6 @@ const (
 	indexVersion = 1
 )
 
-// WriteTo serializes the state of the published snapshot. It implements
-// io.WriterTo.
-//
-// Deprecated: use Current().WriteTo, which pins one consistent snapshot
-// explicitly.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) { return ix.Current().WriteTo(w) }
-
 // WriteTo serializes the snapshot. It implements io.WriterTo and is safe to
 // run concurrently with mutations on the owning Index.
 //
@@ -59,18 +58,18 @@ func (s *Snapshot) WriteTo(w io.Writer) (int64, error) {
 	if err := fault.Hit(fault.SerializeWrite); err != nil {
 		return 0, err
 	}
-	body := appendIndexBody(nil, s.opt, s.precisionLevel, s.polys, s.cells)
+	ropes := make([]*cellRope, len(s.parts))
+	for i, p := range s.parts {
+		ropes[i] = p.cells
+	}
+	p0 := s.parts[0]
+	body := appendIndexBody(nil, p0.opt, p0.precisionLevel, s.mergedPolys(), ropes)
 	return writeIndexPayload(w, body)
 }
 
 // appendIndexBody serializes the format's body — configuration, polygon set
-// and frozen cells — shared between the single-shard WriteTo and the
-// composed sharded one. The ropes are concatenated in argument order: a
-// sharded snapshot passes its shards' ropes in shard order, which is global
-// cell-id order because shard ranges are contiguous and the super covering
-// disjoint, so the byte stream is identical to an unsharded index holding
-// the same cells.
-func appendIndexBody(body []byte, opt options, precisionLevel int, polys []*geom.Polygon, ropes ...*cellRope) []byte {
+// and frozen cells. The ropes are the shards' in shard order, concatenated.
+func appendIndexBody(body []byte, opt options, precisionLevel int, polys []*geom.Polygon, ropes []*cellRope) []byte {
 	body = binary.LittleEndian.AppendUint32(body, uint32(opt.delta))
 	body = binary.LittleEndian.AppendUint64(body, math.Float64bits(opt.precisionMeters))
 	body = binary.LittleEndian.AppendUint32(body, uint32(precisionLevel))
@@ -136,7 +135,8 @@ func writeIndexPayload(w io.Writer, body []byte) (int64, error) {
 	return n, bw.Flush()
 }
 
-// ReadIndexFrom deserializes an index written by WriteTo.
+// ReadIndexFrom deserializes an index written by WriteTo, as a one-shard
+// Index.
 //
 //act:exclusive
 //act:seam
@@ -257,16 +257,23 @@ func ReadIndexFrom(r io.Reader) (*Index, error) {
 	if delta != 1 && delta != 2 && delta != 4 {
 		return nil, fmt.Errorf("actjoin: corrupt granularity %d", delta)
 	}
-	ix := &Index{
-		polys:          polys,
-		sc:             sc,
-		opt:            options{delta: delta, precisionMeters: precision, coveringCells: 128, interiorCells: 256},
-		precisionLevel: precisionLevel,
-	}
-	if _, err := ix.publish(); err != nil {
+	o := options{delta: delta, precisionMeters: precision, coveringCells: 128, interiorCells: 256}
+	sh := &shard{polys: polys, sc: sc, opt: o, precisionLevel: precisionLevel}
+	if err := sh.publish(); err != nil {
 		return nil, err
 	}
-	return ix, nil
+	owners := make([]uint64, len(polys))
+	for i, p := range polys {
+		if p != nil {
+			owners[i] = 1
+		}
+	}
+	return &Index{
+		shards:         []*shard{sh},
+		opt:            o,
+		precisionLevel: precisionLevel,
+		regOwners:      owners,
+	}, nil
 }
 
 // decoder is a bounds-checked little-endian reader over a byte slice.

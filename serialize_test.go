@@ -12,7 +12,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := orig.WriteTo(&buf)
+	n, err := orig.Current().WriteTo(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,19 +24,19 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Precision() != 30 || loaded.Stats().Granularity != 2 {
-		t.Errorf("options lost: %v %d", loaded.Precision(), loaded.Stats().Granularity)
+	if loaded.Precision() != 30 || loaded.Current().Stats().Granularity != 2 {
+		t.Errorf("options lost: %v %d", loaded.Precision(), loaded.Current().Stats().Granularity)
 	}
-	if loaded.Stats().NumCells != orig.Stats().NumCells {
-		t.Errorf("cells: %d vs %d", loaded.Stats().NumCells, orig.Stats().NumCells)
+	if loaded.Current().Stats().NumCells != orig.Current().Stats().NumCells {
+		t.Errorf("cells: %d vs %d", loaded.Current().Stats().NumCells, orig.Current().Stats().NumCells)
 	}
 
 	// Behavioural equality on random probes.
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 3000; i++ {
 		p := Point{Lon: -74.01 + rng.Float64()*0.09, Lat: 40.69 + rng.Float64()*0.11}
-		a := orig.Covers(p)
-		b := loaded.Covers(p)
+		a := orig.Current().Covers(p)
+		b := loaded.Current().Covers(p)
 		if len(a) != len(b) {
 			t.Fatalf("Covers mismatch at %v: %v vs %v", p, a, b)
 		}
@@ -45,8 +45,8 @@ func TestSerializeRoundTrip(t *testing.T) {
 				t.Fatalf("Covers mismatch at %v: %v vs %v", p, a, b)
 			}
 		}
-		aa := orig.CoversApprox(p)
-		bb := loaded.CoversApprox(p)
+		aa := orig.Current().CoversApprox(p)
+		bb := loaded.Current().CoversApprox(p)
 		if len(aa) != len(bb) {
 			t.Fatalf("CoversApprox mismatch at %v", p)
 		}
@@ -69,15 +69,15 @@ func TestSerializePreservesTraining(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
+	if _, err := orig.Current().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadIndexFrom(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Stats().NumCells != orig.Stats().NumCells {
-		t.Errorf("training lost: %d vs %d cells", loaded.Stats().NumCells, orig.Stats().NumCells)
+	if loaded.Current().Stats().NumCells != orig.Current().Stats().NumCells {
+		t.Errorf("training lost: %d vs %d cells", loaded.Current().Stats().NumCells, orig.Current().Stats().NumCells)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestReadIndexFromDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
+	if _, err := orig.Current().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()

@@ -1,86 +1,20 @@
 package actjoin
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"actjoin/internal/act"
 	"actjoin/internal/cellid"
+	"actjoin/internal/cellindex"
 	"actjoin/internal/fault"
 	"actjoin/internal/geom"
-	"actjoin/internal/join"
 	"actjoin/internal/refs"
 	"actjoin/internal/supercover"
 )
-
-// ShardedIndex partitions the covering into contiguous cell-id ranges,
-// each range owned by an independent shard. A shard is a complete Index —
-// its own supercover tree, encoder, snapshot pointer, writer mutex and
-// background compactor — so shards mutate, publish, compact, degrade and
-// quarantine independently; the ShardedIndex is the thin layer that routes
-// mutations and probes to the owning shards and composes their snapshots
-// into one consistent view.
-//
-// The partitioning is the space-oriented one of Tsitsigkos et al.
-// ("Two-layer Space-oriented Partitioning"): split once along the cell-id
-// (Hilbert) order, then run the per-partition work with no coordination.
-// Super-covering cells are disjoint, so every probe point has exactly one
-// owning shard and a batch radix-splits into per-shard sub-streams (see
-// join.PartitionByShard). A covering cell that would span a shard boundary
-// is decomposed into its children until each piece lands in one shard —
-// query-equivalent to inserting the parent, since a containment test
-// against the parent and against the child holding the probe's leaf answer
-// identically.
-//
-// Concurrency contract (three lock classes, always in this order):
-//
-//	regMu (shardreg) > wmu (shardw) > per-shard Index.mu (mu)
-//
-// regMu guards the polygon-id registry: the id space is global, so
-// assignment and removal claims serialize here (and Apply holds it for the
-// whole transaction, keeping staged ids stable). wmu is the commit lock:
-// single-shard mutations hold it shared — they touch one shard's mutex and
-// publish atomically, so any number may run concurrently — while
-// multi-shard commits (Apply, Train) hold it exclusively and bracket their
-// fan-out with a generation bump so composed readers can detect (and wait
-// out) a commit in flight. No path ever holds two shards' mutexes at once,
-// and no Index method calls back into the ShardedIndex, so the order is
-// acyclic by construction.
-type ShardedIndex struct {
-	noCopy noCopy
-
-	// shards and router are immutable after NewShardedIndex; shards' own
-	// state is guarded per shard by each Index's mutex.
-	shards []*Index
-	router shardRouter
-
-	// gen is the cross-shard commit generation (a seqlock): odd while a
-	// multi-shard commit is fanning out under wmu, even otherwise. Current
-	// retries its shard-snapshot gather until it reads the same even value
-	// on both sides, so a composed snapshot never spans a torn commit.
-	gen atomic.Uint64 //act:seqlock shardw
-
-	// wmu is the commit lock; see the struct comment for the sharing rule.
-	wmu sync.RWMutex //act:lock shardw
-
-	// regMu guards the global polygon-id registry. regOwners[id] is the
-	// bitmask of shards holding cells of the polygon (64 shards max), 0 for
-	// removed or never-committed ids; closed marks a Close()d index.
-	regMu     sync.Mutex //act:lock shardreg
-	regOwners []uint64   //act:guarded regMu
-	closed    bool       //act:guarded regMu
-
-	opt            options // immutable after NewShardedIndex
-	precisionLevel int     // immutable after NewShardedIndex
-}
-
-// MaxShards is the largest shard count NewShardedIndex accepts: owner sets
-// are tracked as 64-bit masks, and the scaling a shard buys decays long
-// before that.
-const MaxShards = 64
 
 // shardRouter maps cell ids to shards. bounds are the sorted, strictly
 // increasing leaf-aligned split points chosen at build time: shard i owns
@@ -105,8 +39,12 @@ func (r shardRouter) shardOfLeaf(leaf cellid.CellID) int {
 // one shard. Decomposition recurses at most to the leaf level, and a leaf
 // (RangeMin == RangeMax) can never span. Pieces are emitted in child order,
 // so per-shard insertion order — and therefore the shard's covering — is
-// deterministic.
+// deterministic. With one shard the split is the identity and cells come
+// back as the one bucket, unchanged.
 func (r shardRouter) route(cells []cellid.CellID) [][]cellid.CellID {
+	if len(r.bounds) == 0 {
+		return [][]cellid.CellID{cells}
+	}
 	out := make([][]cellid.CellID, r.numShards())
 	for _, c := range cells {
 		r.emit(c, out)
@@ -167,716 +105,734 @@ func buildShardRouter(covs, ints [][]cellid.CellID, shards int) shardRouter {
 	return shardRouter{bounds: bounds}
 }
 
-// NewShardedIndex builds an index over the polygons partitioned into up to
-// the given number of shards, and publishes every shard's first snapshot.
-// Polygon ids are slice positions, exactly as with NewIndex; the same
-// Options apply (to every shard). The partition bounds are chosen from the
-// initial polygon set and fixed for the index's lifetime; skew in the
-// initial covering (or split-point snapping) may merge ranges, so
-// NumShards reports the effective count, which can be lower than requested.
+// shard is the engine behind one contiguous cell-id range of an Index: its
+// own super covering, encoder, published snapshot, writer mutex and
+// background compactor. It mutates, publishes, compacts, degrades and
+// quarantines independently of every other shard; the Index routes
+// mutations to it as staged op lists (stageShardOp) and composes its
+// published part into Snapshots. With one shard it is the paper's whole
+// index.
 //
-// A sharded index trades the single-writer bottleneck for per-shard
-// writers: mutations touching different shards commit concurrently, and
-// batch probes fan out across the shards' frozen structures. With one
-// shard it behaves — and serializes — exactly like the Index NewIndex
-// returns.
+// Concurrency contract: staging and publishing serialize on mu, rebuild
+// the frozen structures off to the side, and publish the result with a
+// single atomic pointer swap — they never block queries, and queries never
+// block them. No shard method calls back into the Index.
+type shard struct {
+	noCopy noCopy
+
+	// mu serializes writers; it is never held on any query path.
+	mu sync.Mutex //act:lock mu
+
+	//act:published
+	//act:atomic
+	cur atomic.Pointer[Snapshot]
+
+	// Writer-side state. polys is copy-on-write: published snapshots share
+	// the slice, so the first mutation after a publish replaces it instead
+	// of editing it in place (polysShared tracks whether the current slice
+	// is aliased by a snapshot).
+	sc          *supercover.SuperCovering //act:guarded mu
+	polys       []*geom.Polygon           //act:guarded mu
+	polysShared bool                      //act:guarded mu
+
+	// enc carries the shared lookup table across incremental publishes
+	// (garbage-tracked, compacted on full rebuilds and replaced wholesale
+	// when a background compaction lands); kvScratch recycles the
+	// per-publish dirty-region encoding buffer. patched/full count the
+	// publishes each path served (diagnostics, read under mu).
+	enc       *cellindex.Encoder   //act:guarded mu
+	kvScratch []cellindex.KeyEntry //act:guarded mu
+	patched   int                  //act:guarded mu
+	full      int                  //act:guarded mu
+
+	// compacting is the in-flight background compaction, nil when none (see
+	// compaction.go). The counters track cycle starts and landings. The
+	// compactor goroutine takes mu to land its result.
+	compacting         *compaction //act:guarded mu
+	compactionsStarted int         //act:guarded mu
+	compactionsLanded  int         //act:guarded mu
+
+	// Failure-domain state (see compaction.go for the containment design).
+	// closed marks a Close()d index: mutations fail with ErrClosed, no new
+	// compactions start. fullNext forces the next publish down the full
+	// freeze after a failed publish left the encoder's table torn — the
+	// full path rebuilds it to consistency from scratch. The counters feed
+	// PublishStats.
+	closed          bool //act:guarded mu
+	fullNext        bool //act:guarded mu
+	publishPanics   int  //act:guarded mu
+	reconcileAborts int  //act:guarded mu
+	replayPoisoned  int  //act:guarded mu
+
+	// Compactor failure bookkeeping is atomic, not mu-guarded, on purpose:
+	// the goroutine records failures while a writer may be blocked on the
+	// build (the hard-cap wait on c.done) holding mu, so the failure path
+	// must stay lock-free (see noteCompactorFailure). compactorWG tracks
+	// the goroutine itself for Close.
+	compactionsFailed     atomic.Int64               //act:atomic
+	consecCompactFailures atomic.Int64               //act:atomic
+	quarantined           atomic.Pointer[quarantine] //act:atomic
+	compactorWG           sync.WaitGroup
+
+	// Test hooks (same-package tests only): holdCompaction, when non-nil,
+	// parks every finished compaction until the channel is closed, so tests
+	// can deterministically observe the pending-ready state; failPatches
+	// forces the next n patch attempts to abort after staging, exercising
+	// the encoder rollback path; compactRetryBase (0 = default) shortens
+	// the compactor's retry backoff so failure tests run fast.
+	holdCompaction   chan struct{} //act:guarded mu
+	failPatches      int           //act:guarded mu
+	compactRetryBase time.Duration //act:guarded mu
+
+	opt            options // immutable after construction
+	precisionLevel int     // immutable after construction
+}
+
+// frozen returns the shard's published part, nil before the first publish.
+func (sh *shard) frozen() *part {
+	if s := sh.cur.Load(); s != nil {
+		return s.parts[0]
+	}
+	return nil
+}
+
+// noCopy triggers go vet's copylocks analyzer on by-value copies of the
+// struct embedding it. It has no runtime effect.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// Publish thresholds: a patch is only attempted while the mutation's dirty
+// footprint stays a small fraction of the index and while the garbage that
+// patching accumulates (orphaned trie nodes, tombstoned lookup-table
+// records) stays below its compaction triggers. Crossing a garbage trigger
+// starts a background compaction (the default) or falls back to an inline
+// rebuild (when background compaction is off or quarantined); while a
+// compaction is in flight the writer keeps patching up to the hard caps in compaction.go.
+const (
+	publishMaxDirtyFraction = 0.25 // dirty cells vs previous snapshot cells
+	arenaMaxGarbageFraction = 0.25 // orphaned arena slots before compaction
+	tableMaxGarbageFraction = 0.50 // tombstoned table words before compaction
+)
+
+// publish freezes the writer-side state into a new immutable snapshot and
+// swaps it in; //act:requires states the calling contract (constructors
+// owning a fresh, unshared shard are covered by //act:exclusive).
 //
-//act:exclusive
-func NewShardedIndex(polygons []Polygon, shards int, opts ...Option) (*ShardedIndex, error) {
-	if shards < 1 || shards > MaxShards {
-		return nil, fmt.Errorf("actjoin: shard count must be in [1, %d], got %d", MaxShards, shards)
+// In steady state the freeze is incremental: the covering reports the dirty
+// subtree roots of the staged mutations, and the new snapshot is assembled
+// by patching the previous one — clean cell runs are spliced by reference,
+// only dirty regions are re-emitted and re-encoded, and the trie arena is
+// copied flat and rebuilt only under the dirty roots. The full rebuild
+// remains the fallback for bulk mutations (including the first publish) and
+// for whatever the incremental paths — patching and background compaction —
+// cannot absorb.
+//
+// Failure domain: both paths run under panic guards. A panic in the
+// incremental machinery falls back to the full freeze; a panic in the full
+// freeze itself rewinds the writer to the published snapshot (discarding
+// the staged mutations), replaces the possibly-torn encoder, and returns
+// the error — the published snapshot is never replaced by partial state,
+// and the writer stays usable.
+//
+//act:requires mu
+//act:publisher
+func (sh *shard) publish() error {
+	if sh.enc == nil {
+		sh.enc = cellindex.NewEncoder()
 	}
-	o, err := buildOptions(opts)
-	if err != nil {
-		return nil, err
+	prev := sh.frozen()
+	roots, all := sh.sc.TakeDirty()
+	if c := sh.compacting; c != nil {
+		// Whatever this publish changes must be re-applied onto the fresh
+		// base before the in-flight compaction may land.
+		c.addReplay(roots, all)
 	}
-	if len(polygons) == 0 {
-		return nil, errors.New("actjoin: no polygons")
+	var s *part
+	if prev != nil && !all && !sh.opt.fullPublish && !sh.fullNext {
+		s = sh.publishIncrementalGuarded(prev, roots)
 	}
-	if len(polygons) > MaxPolygons {
-		return nil, fmt.Errorf("actjoin: %d polygons exceed the %d limit", len(polygons), MaxPolygons)
+	if s == nil {
+		sh.abandonCompactionLocked()
+		var err error
+		if s, err = sh.publishFullGuarded(); err != nil {
+			sh.recoverFailedPublish(prev, roots, all)
+			return err
+		}
+		sh.full++
+		sh.fullNext = false
+	} else {
+		sh.patched++
 	}
+	sh.polysShared = true // the snapshot aliases sh.polys from here on
+	sh.cur.Store(onePart(s))
+	return nil
+}
 
-	internal := make([]*geom.Polygon, len(polygons))
-	bound := geom.EmptyRect()
-	for i, p := range polygons {
-		gp, err := toGeom(p)
-		if err != nil {
-			return nil, fmt.Errorf("actjoin: polygon %d: %w", i, err)
+// publishIncrementalGuarded runs the incremental publish under a panic
+// guard: a panic anywhere in the patch machinery — injected or real — is
+// recovered and reported as "no incremental result", which sends the caller
+// down the full-freeze path. No explicit journal rollback happens here: the
+// encoder's accounting may be torn mid-patch, but the full freeze's
+// EncodeFrozen resets the encoder (table, refcounts and journal) wholesale
+// before reusing it, and a failed full freeze replaces the encoder
+// entirely. The arena writes of the aborted patch are appends past every
+// published tree's length, so concurrent readers never see them.
+//
+//act:requires mu
+func (sh *shard) publishIncrementalGuarded(prev *part, roots []cellid.CellID) (s *part) {
+	defer func() {
+		if r := recover(); r != nil {
+			sh.publishPanics++
+			s = nil
 		}
-		internal[i] = gp
-		bound = bound.Union(gp.Bound())
-	}
-	covs, ints := coverAll(internal, o)
-	router := buildShardRouter(covs, ints, shards)
-	ns := router.numShards()
+	}()
+	return sh.publishIncremental(prev, roots)
+}
 
-	// Route every polygon's cells to their owning shards and record the
-	// owner masks for the registry.
-	rcovs := make([][][]cellid.CellID, len(internal))
-	rints := make([][][]cellid.CellID, len(internal))
-	masks := make([]uint64, len(internal))
-	for i := range internal {
-		rcovs[i] = router.route(covs[i])
-		rints[i] = router.route(ints[i])
-		for si := 0; si < ns; si++ {
-			if len(rcovs[i][si]) > 0 || len(rints[i][si]) > 0 {
-				masks[i] |= 1 << uint(si)
-			}
+// publishFullGuarded runs the inline full freeze under a panic guard,
+// converting a recovered panic into an error for the caller to surface.
+// Nothing published is touched before the guarded section completes: the
+// snapshot is assembled from fresh buffers and only stored by publish()
+// after a nil error.
+//
+//act:requires mu
+//act:seam
+func (sh *shard) publishFullGuarded() (s *part, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			sh.publishPanics++
+			s, err = nil, fmt.Errorf("actjoin: publish failed: %v", r)
 		}
-		if masks[i] == 0 {
-			// Degenerate covering (should not happen for a valid polygon):
-			// host the polygon in the shard owning its bound center so the
-			// id stays removable and serializable.
-			si := router.shardOfLeaf(cellid.FromPoint(internal[i].Bound().Center()))
-			masks[i] = 1 << uint(si)
-		}
-	}
-
-	precisionLevel := 0
-	if o.precisionMeters > 0 {
-		precisionLevel = cellid.LevelForMaxDiagonalMeters(o.precisionMeters, bound.Center().Y)
-	}
-
-	shardIxs := make([]*Index, ns)
-	for si := 0; si < ns; si++ {
-		sc := supercover.New()
-		sc.SetWalkRemoval(o.walkRemoval)
-		// Replicate supercover.Build's merge order — every covering in
-		// polygon order, then every interior — so each shard's covering is
-		// exactly the restriction of the unsharded one to its range, and
-		// the concatenated shards serialize byte-identically to an
-		// unsharded index.
-		for i := range internal {
-			for _, c := range rcovs[i][si] {
-				sc.Insert(c, []refs.Ref{refs.MakeRef(PolygonID(i), false)})
-			}
-		}
-		for i := range internal {
-			for _, c := range rints[i][si] {
-				sc.Insert(c, []refs.Ref{refs.MakeRef(PolygonID(i), true)})
-			}
-		}
-		// The shard's polygon slice is nil-masked: only owners are set, so
-		// removal routes by mask and the composed view merges slices by
-		// first non-nil slot. Refinement only dereferences polygons its
-		// cells reference, which are owners by construction.
-		polys := make([]*geom.Polygon, len(internal))
-		for i := range internal {
-			if masks[i]&(1<<uint(si)) != 0 {
-				polys[i] = internal[i]
-			}
-		}
-		if precisionLevel > 0 {
-			sc.RefineToPrecision(polys, precisionLevel)
-		}
-		shardIxs[si] = &Index{polys: polys, sc: sc, opt: o, precisionLevel: precisionLevel}
-	}
-	for _, ix := range shardIxs {
-		if _, err := ix.publish(); err != nil {
-			return nil, err
-		}
-	}
-	return &ShardedIndex{
-		shards:         shardIxs,
-		router:         router,
-		opt:            o,
-		precisionLevel: precisionLevel,
-		regOwners:      masks,
+	}()
+	fault.MustHit(fault.FullFreeze)
+	// The snapshot takes ownership of the frozen cells (via the rope),
+	// so the full path allocates a fresh, exactly-sized buffer; only the
+	// patched path amortizes freeze allocations (dirty-sized buffers,
+	// clean runs spliced by reference). EncodeFrozen, not EncodeAll: the
+	// freeze's reference lists go straight into the new snapshot, and
+	// EncodeAll would re-sort them in place — harmless today only because
+	// they are not published yet, but a write through frozen state all the
+	// same.
+	cells := sh.sc.Cells()
+	kvs := sh.enc.EncodeFrozen(cells)
+	return &part{
+		polys:          sh.polys,
+		cells:          ropeFromCells(cells),
+		tree:           act.Build(kvs, sh.opt.delta),
+		table:          sh.enc.Table().Freeze(),
+		opt:            sh.opt,
+		precisionLevel: sh.precisionLevel,
 	}, nil
 }
 
-// coverAll computes the per-polygon coverings in parallel under the index
-// budgets — the same inputs supercover.Build computes for the unsharded
-// build, kept separate here so they can be routed before merging.
-func coverAll(polys []*geom.Polygon, o options) (covs, ints [][]cellid.CellID) {
-	covs = make([][]cellid.CellID, len(polys))
-	ints = make([][]cellid.CellID, len(polys))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(polys) {
-		workers = len(polys)
+// recoverFailedPublish rewinds the writer after a publish that produced no
+// snapshot on any path. The published snapshot was never replaced, so
+// readers saw nothing; the writer-side covering is reset to match it using
+// the dirty roots captured before the attempt (the marks themselves were
+// already consumed by TakeDirty). The encoder's table may be torn mid-encode, so it is
+// replaced, and fullNext routes the next publish through the full freeze,
+// which rebuilds consistent encoder state from scratch.
+//
+//act:requires mu
+func (sh *shard) recoverFailedPublish(prev *part, roots []cellid.CellID, all bool) {
+	sh.enc = cellindex.NewEncoder()
+	sh.fullNext = true
+	if prev == nil {
+		return // first publish: the constructor surfaces the error, the index is never handed out
 	}
-	if workers <= 1 {
-		for i, gp := range polys {
-			covs[i], ints[i] = coverPolygon(gp, o)
-		}
-		return covs, ints
+	sh.resetToSnapshot(prev, roots, all)
+}
+
+// publishIncremental serves one publish without a full rebuild, choosing
+// among patching prev, starting a background compaction, and landing an
+// in-flight one. It returns nil only when every incremental avenue is
+// exhausted and the caller must rebuild inline.
+//
+//act:requires mu
+func (sh *shard) publishIncremental(prev *part, roots []cellid.CellID) *part {
+	if len(roots) == 0 {
+		// Nothing structural changed (e.g. a transaction that only touched
+		// tombstones, or a no-op Train): reuse the frozen state wholesale,
+		// publishing only the new polygon slice.
+		return sh.patchSnapshot(prev, sh.enc, nil, 0)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//act:norecover pure-compute covering of constructor-owned polygons; a panic is a broken invariant with no state to contain
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(polys) {
-					return
-				}
-				covs[i], ints[i] = coverPolygon(polys[i], o)
+	c := sh.compacting
+	arenaCap, tableCap := arenaMaxGarbageFraction, tableMaxGarbageFraction
+	if c != nil {
+		// A compaction is already rebuilding: keep patching past the soft
+		// thresholds, bounded by the hard caps. (Rope fragmentation needs no
+		// hard cap of its own — the splice tolerates high run counts and
+		// maxCellRuns bounds it with an inline flatten as the last resort.)
+		arenaCap, tableCap = arenaHardGarbageFraction, tableHardGarbageFraction
+	}
+	if prev.tree.GarbageRatio() > arenaCap || sh.enc.GarbageRatio() > tableCap ||
+		(c == nil && !sh.bgCompactionOffLocked() && len(prev.cells.runs) > ropeCompactRuns) {
+		switch {
+		case c != nil && c.replayAll:
+			// The in-flight compaction is already poisoned: waiting for its
+			// build would buy nothing (reconcile must fail). Abandon it and
+			// rebuild inline.
+			return nil
+		case c != nil:
+			// Hard cap: patching may not outrun the compactor any further.
+			// Its build is already under way and needs no lock, so waiting
+			// for it and landing it here is bounded by the build's remaining
+			// time — never worse than the inline rebuild it replaces. (The
+			// wait holds mu, which is why the compactor's failure path is
+			// lock-free: done closes on every outcome, including quarantine,
+			// and a nil result below falls through to the inline rebuild.)
+			<-c.done
+			return sh.reconcileLocked(c)
+		case sh.bgCompactionOffLocked():
+			return nil // compact inline via the full rebuild
+		default:
+			// Soft threshold: publish this mutation as an ordinary patch and
+			// compact from the resulting snapshot in the background.
+			s := sh.patchSnapshot(prev, sh.enc, roots, publishMaxDirtyFraction)
+			if s == nil {
+				return nil
 			}
-		}()
+			sh.startCompactionLocked(s)
+			return s
+		}
 	}
-	wg.Wait()
-	return covs, ints
+	s := sh.patchSnapshot(prev, sh.enc, roots, publishMaxDirtyFraction)
+	if s == nil && c != nil && !c.replayAll {
+		// The frozen layout (or the dirty budget) refused the patch. With a
+		// (non-poisoned) compaction in flight the fallback is deferred to it
+		// instead of rebuilding inline: wait for the build and reconcile —
+		// the fresh base often absorbs what the stale layout could not. The
+		// aborted patch's encoder staging was rolled back by patchSnapshot,
+		// so the live table's accounting stays exact however long the
+		// fallback takes to land.
+		<-c.done
+		return sh.reconcileLocked(c)
+	}
+	return s
 }
 
-// NumShards returns the effective shard count (possibly lower than
-// requested; see NewShardedIndex).
-func (six *ShardedIndex) NumShards() int { return len(six.shards) }
-
-// Precision returns the configured precision bound in meters, or 0 when the
-// index is exact-only.
-func (six *ShardedIndex) Precision() float64 { return six.opt.precisionMeters }
-
-// ShardOf returns the index (0 ≤ i < NumShards) of the shard whose key range
-// holds p — the failure domain a probe of p is served by and the slot its
-// state is reported under in Health().Shards. The routing is a property of
-// the immutable split, so the answer never changes over the index's lifetime.
-func (six *ShardedIndex) ShardOf(p Point) int {
-	return six.router.shardOfLeaf(cellid.FromPoint(geom.Point{X: p.Lon, Y: p.Lat}))
-}
-
-// Add indexes one more polygon at runtime and returns its id, exactly like
-// Index.Add: the covering is computed once, routed to the owning shards,
-// and each owner stages and publishes its part. A polygon contained in one
-// shard's range — the common case for city-scale polygons under a
-// well-balanced split — commits under the shared side of the commit lock
-// and contends only with writers of the same shard.
+// bgCompactionOffLocked reports whether background compaction is
+// unavailable — quarantined after repeated failures (Degraded), the shard
+// closed, or switched off by the differential tests' hook. Everywhere it is
+// true, threshold crossings compact inline.
 //
-// On a failure the add is rolled back on every shard that had committed it
-// and the id is void; Add on a closed index returns ErrClosed.
-func (six *ShardedIndex) Add(p Polygon) (PolygonID, error) {
-	gp, err := toGeom(p)
-	if err != nil {
-		return 0, fmt.Errorf("actjoin: add: %w", err)
-	}
-	covering, interior := coverPolygon(gp, six.opt)
-	id, err := six.reserveID()
-	if err != nil {
-		return 0, err
-	}
-	plan, mask := six.planAdd(id, gp, covering, interior)
-	if err := six.commitPlan(plan); err != nil {
-		six.unreserveID(id)
-		return 0, err
-	}
-	six.setOwners(id, mask)
-	return id, nil
+//act:requires mu
+func (sh *shard) bgCompactionOffLocked() bool {
+	return sh.opt.noBgCompact || sh.closed || sh.quarantined.Load() != nil
 }
 
-// planAdd routes one add's coverings into a per-shard op plan and returns
-// the owner mask.
-func (six *ShardedIndex) planAdd(id PolygonID, gp *geom.Polygon, covering, interior []cellid.CellID) (plan [][]shardOp, mask uint64) {
-	rcov := six.router.route(covering)
-	rint := six.router.route(interior)
-	refineLevel := addRefineLevel(gp, six.opt, six.precisionLevel)
-	plan = make([][]shardOp, len(six.shards))
-	for si := range plan {
-		if len(rcov[si]) == 0 && len(rint[si]) == 0 {
-			continue
-		}
-		plan[si] = []shardOp{{
-			kind: shardOpAdd, id: id, gp: gp,
-			covering: rcov[si], interior: rint[si], refineLevel: refineLevel,
-		}}
-		mask |= 1 << uint(si)
-	}
-	if mask == 0 {
-		// Degenerate covering; see the same case in NewShardedIndex.
-		si := six.router.shardOfLeaf(cellid.FromPoint(gp.Bound().Center()))
-		plan[si] = []shardOp{{kind: shardOpAdd, id: id, gp: gp}}
-		mask = 1 << uint(si)
-	}
-	return plan, mask
-}
-
-// Remove deletes a polygon from every shard holding its cells and publishes
-// their new snapshots. Semantics match Index.Remove: ids are never reused,
-// unknown ids and double removes fail the same way, and a failed commit
-// rolls the removal back everywhere (including the registry claim).
-func (six *ShardedIndex) Remove(id PolygonID) error {
-	mask, err := six.claimRemove(id)
-	if err != nil {
-		return err
-	}
-	plan := make([][]shardOp, len(six.shards))
-	for si := range plan {
-		if mask&(1<<uint(si)) != 0 {
-			plan[si] = []shardOp{{kind: shardOpRemove, id: id}}
-		}
-	}
-	if err := six.commitPlan(plan); err != nil {
-		six.setOwners(id, mask) // the shards rolled back; restore the claim
-		return err
-	}
-	return nil
-}
-
-// Train adapts the index to an expected point distribution, as Index.Train
-// does: the training stream is radix-split to the owning shards, and each
-// shard trains on its sub-stream. The cell budget is global — as the commit
-// walks the shards it converts maxCells (0 = unlimited) into the remainder
-// the current shard may still spend, so the total never exceeds the budget;
-// which cells get the splits can differ from the unsharded index when the
-// budget binds, since shards spend it in shard order rather than in global
-// stream order. Training is advisory: on a closed index or a failed commit
-// it returns zero TrainStats and every shard is rolled back.
-func (six *ShardedIndex) Train(points []Point, maxCells int) TrainStats {
-	if six.isClosed() {
-		return TrainStats{}
-	}
-	cells := make([]cellid.CellID, len(points))
-	for i, p := range points {
-		cells[i] = cellid.FromPoint(geom.Point{X: p.Lon, Y: p.Lat})
-	}
-	order, offsets := join.PartitionByShard(cells, six.router.bounds)
-	plan := make([][]shardOp, len(six.shards))
-	results := make([]supercover.TrainResult, len(six.shards))
-	for si := range plan {
-		lo, hi := offsets[si], offsets[si+1]
-		if lo == hi {
-			continue
-		}
-		sub := make([]cellid.CellID, hi-lo)
-		for k := range sub {
-			sub[k] = cells[order[lo+k]]
-		}
-		plan[si] = []shardOp{{kind: shardOpTrain, points: sub, maxCells: maxCells, trainRes: &results[si]}}
-	}
-	if err := six.commitMulti(plan); err != nil {
-		return TrainStats{}
-	}
-	var st TrainStats
-	for si := range results {
-		st.PointsSeen += results[si].PointsSeen
-		st.CellsSplit += results[si].Splits
-		st.BudgetReached = st.BudgetReached || results[si].BudgetReached
-	}
-	st.NumCells = six.totalWriterCells()
-	return st
-}
-
-// ShardTx is the write transaction handed to ShardedIndex.Apply. Mutations
-// staged through it are routed but not committed until fn returns; the
-// whole batch then commits as one multi-shard commit, so composed readers
-// observe either none of it or all of it. Like Tx, a ShardTx is only valid
-// inside its Apply call; calling the ShardedIndex's own mutation methods
-// from within fn deadlocks on the registry lock Apply holds.
+// patchSnapshot assembles a snapshot of the current writer state by patching
+// base with the dirty regions under roots, re-encoding through enc (the
+// encoder that produced base's entries: the live encoder when base is the
+// previous snapshot, the fresh one when base is a compaction result being
+// reconciled). maxDirtyFraction budgets the patch against base's size. It
+// returns nil when the patch cannot (or should not) be applied — the
+// encoder's staged work is rolled back exactly, so any fallback may be
+// deferred indefinitely without leaking table garbage.
 //
-// Train stages a training pass but reports no TrainStats: staged training
-// runs at commit time, interleaved with the batch's other ops, and its
-// outcome is not known while fn is still staging.
-type ShardTx struct {
-	noCopy noCopy
-
-	six  *ShardedIndex
-	base int                  // registry length at Apply entry; ids from here are this tx's
-	plan [][]shardOp          // per-shard staged ops, in staging order
-	mask map[PolygonID]uint64 // staged owner-mask overlay (0 = staged remove)
-}
-
-func (tx *ShardTx) sharded() *ShardedIndex {
-	if tx.six == nil {
-		panic("actjoin: ShardTx used outside its Apply call")
-	}
-	return tx.six
-}
-
-// Add stages one more polygon, returning the id it will have once the
-// transaction commits.
-//
-//act:requires regMu
-func (tx *ShardTx) Add(p Polygon) (PolygonID, error) {
-	six := tx.sharded()
-	if len(six.regOwners) >= MaxPolygons {
-		return 0, fmt.Errorf("actjoin: polygon limit %d reached", MaxPolygons)
-	}
-	gp, err := toGeom(p)
-	if err != nil {
-		return 0, fmt.Errorf("actjoin: add: %w", err)
-	}
-	covering, interior := coverPolygon(gp, six.opt)
-	id := PolygonID(len(six.regOwners))
-	six.regOwners = append(six.regOwners, 0)
-	plan, mask := six.planAdd(id, gp, covering, interior)
-	for si, ops := range plan {
-		tx.plan[si] = append(tx.plan[si], ops...)
-	}
-	tx.mask[id] = mask
-	return id, nil
-}
-
-// Remove stages the deletion of a polygon, validating against the staged
-// state (a polygon added earlier in the same transaction can be removed).
-//
-//act:requires regMu
-func (tx *ShardTx) Remove(id PolygonID) error {
-	six := tx.sharded()
-	if int(id) >= len(six.regOwners) {
-		return fmt.Errorf("actjoin: unknown polygon id %d", id)
-	}
-	mask, staged := tx.mask[id]
-	if !staged {
-		mask = six.regOwners[id]
-	}
-	if mask == 0 {
-		return ErrRemoved
-	}
-	for si := range tx.plan {
-		if mask&(1<<uint(si)) != 0 {
-			tx.plan[si] = append(tx.plan[si], shardOp{kind: shardOpRemove, id: id})
-		}
-	}
-	tx.mask[id] = 0
-	return nil
-}
-
-// Train stages a training pass over the staged state; see the ShardTx
-// comment for why it reports no stats.
-func (tx *ShardTx) Train(points []Point, maxCells int) {
-	six := tx.sharded()
-	cells := make([]cellid.CellID, len(points))
-	for i, p := range points {
-		cells[i] = cellid.FromPoint(geom.Point{X: p.Lon, Y: p.Lat})
-	}
-	order, offsets := join.PartitionByShard(cells, six.router.bounds)
-	for si := range tx.plan {
-		lo, hi := offsets[si], offsets[si+1]
-		if lo == hi {
-			continue
-		}
-		sub := make([]cellid.CellID, hi-lo)
-		for k := range sub {
-			sub[k] = cells[order[lo+k]]
-		}
-		tx.plan[si] = append(tx.plan[si], shardOp{kind: shardOpTrain, points: sub, maxCells: maxCells})
-	}
-}
-
-// Apply runs a batch of mutations as one cross-shard transaction: fn stages
-// through the ShardTx, and the staged batch commits as one multi-shard
-// commit — composed readers observe either none of it or all of it, and
-// each shard publishes at most one new snapshot for the whole batch. If fn
-// returns an error (or panics), nothing was committed anywhere and the ids
-// handed out by tx.Add are void; if the commit itself fails partway, every
-// shard that had already published its part is rewound, with the same
-// outcome.
-//
-// fn must mutate only through tx — calling Add, Remove, Train or Apply on
-// the ShardedIndex itself from inside fn deadlocks on the registry lock
-// Apply holds for the duration of the transaction. Queries (Current and any
-// snapshot) remain safe from anywhere, including inside fn.
-func (six *ShardedIndex) Apply(fn func(tx *ShardTx) error) error {
-	six.regMu.Lock()
-	defer six.regMu.Unlock()
-	if six.closed {
-		return ErrClosed
-	}
-	tx := ShardTx{
-		six:  six,
-		base: len(six.regOwners),
-		plan: make([][]shardOp, len(six.shards)),
-		mask: make(map[PolygonID]uint64),
-	}
-	committed := false
-	defer func() {
-		// Runs on the error path AND when fn panics: invalidate the tx and
-		// truncate the ids it reserved. Nothing was staged on any shard yet
-		// — the plan only commits below — so the registry is the only state
-		// to roll back. (Registered LIFO after the Unlock defer, so it runs
-		// while regMu is still held.)
-		tx.six = nil
-		if !committed {
-			six.regOwners = six.regOwners[:tx.base]
-		}
-	}()
-	if err := fn(&tx); err != nil {
-		return err
-	}
-	if err := six.commitMulti(tx.plan); err != nil {
-		return err
-	}
-	committed = true
-	for id, mask := range tx.mask {
-		six.regOwners[id] = mask
-	}
-	return nil
-}
-
-// commitPlan commits a routed op plan, taking the shared commit path when
-// exactly one shard participates (a single atomic publish cannot be torn,
-// so no generation bump or exclusive lock is needed) and the multi-shard
-// path otherwise.
-func (six *ShardedIndex) commitPlan(plan [][]shardOp) error {
-	single := -1
-	for si := range plan {
-		if len(plan[si]) == 0 {
-			continue
-		}
-		if single >= 0 {
-			single = -2
-			break
-		}
-		single = si
-	}
-	switch {
-	case single == -1:
-		return nil
-	case single >= 0:
-		return six.commitSingle(single, plan[single])
-	default:
-		return six.commitMulti(plan)
-	}
-}
-
-// commitSingle commits one shard's ops under the shared side of the commit
-// lock: concurrent single-shard commits on different shards proceed in
-// parallel, serialized only against multi-shard commits.
-func (six *ShardedIndex) commitSingle(si int, ops []shardOp) error {
-	six.wmu.RLock()
-	defer six.wmu.RUnlock()
-	_, err := six.shards[si].applyShardOps(ops)
-	return err
-}
-
-// commitMulti commits an op plan that may span shards, under the exclusive
-// side of the commit lock and inside an odd generation window: composed
-// readers that raced the fan-out retry until the window closes, so they
-// never observe some shards with the batch and others without. Shards
-// commit in ascending order; when one fails — including an injected
-// fault.ShardCommit — every shard that already published is rewound to its
-// pre-commit snapshot before the error returns.
-func (six *ShardedIndex) commitMulti(plan [][]shardOp) error {
-	six.wmu.Lock()
-	defer six.wmu.Unlock()
-	six.gen.Add(1)
-	defer six.gen.Add(1)
-	// Parallel slices: shards that committed, and the snapshot each must
-	// be rewound to if a later shard fails (held only for the loop).
-	var doneShards []int
-	var donePrev []*Snapshot
-	for si := range plan {
-		ops := plan[si]
-		if len(ops) == 0 {
-			continue
-		}
-		six.budgetTrainOps(si, ops)
-		prev, err := six.commitShard(si, ops)
-		if err != nil {
-			for i, di := range doneShards {
-				six.shards[di].rewindTo(donePrev[i])
-			}
-			return err
-		}
-		doneShards = append(doneShards, si)
-		donePrev = append(donePrev, prev)
-	}
-	return nil
-}
-
-// commitShard runs one shard's slice of a multi-shard commit, containing a
-// panic from the commit seam or the shard's publish machinery as an error: a
-// panic escaping mid-fan-out would skip the rewind of the shards that already
-// published and leak a torn commit, so it must surface as the same failure an
-// error does.
-//
-//act:requires wmu
+//act:requires mu
+//act:freezer
 //act:seam
-func (six *ShardedIndex) commitShard(si int, ops []shardOp) (prev *Snapshot, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("actjoin: shard %d commit panicked: %v", si, r)
+func (sh *shard) patchSnapshot(base *part, enc *cellindex.Encoder, roots []cellid.CellID, maxDirtyFraction float64) *part {
+	if len(roots) == 0 {
+		return &part{
+			polys:          sh.polys,
+			cells:          base.cells,
+			tree:           base.tree,
+			table:          base.table,
+			opt:            sh.opt,
+			precisionLevel: sh.precisionLevel,
 		}
-	}()
-	if err := fault.Hit(fault.ShardCommit); err != nil {
-		return nil, err
 	}
-	return six.shards[si].applyShardOps(ops)
-}
-
-// budgetTrainOps converts the global cell budget of each staged training op
-// into the remainder shard si may spend: the global budget minus every
-// other shard's current covering size. Earlier shards of the same commit
-// have already spent their share (the commit lock keeps the counts stable),
-// so the remainder shrinks as the fan-out progresses and the total stays
-// within the global budget. An exhausted budget skips the shard's pass
-// outright (Train treats 0 as unlimited, so 0 cannot express it).
-//
-//act:requires wmu
-func (six *ShardedIndex) budgetTrainOps(si int, ops []shardOp) {
-	for i := range ops {
-		op := &ops[i]
-		if op.kind != shardOpTrain || op.maxCells <= 0 {
-			continue
+	// Bail before any splice or encoder work when the regions' footprint
+	// alone disqualifies a patch — bulk mutations should pay for one full
+	// rebuild, not for a discarded patch on top of it. (The emitted side is
+	// only known after the splice; the check below re-tests it.)
+	maxDirty := int(maxDirtyFraction * float64(base.cells.Len()))
+	if len(roots) > mergeRootsMin {
+		// mergePatchRoots counts every region it emits, so its estimate
+		// doubles as the budget pre-check.
+		var preDirtyOld int
+		roots, preDirtyOld = mergePatchRoots(base.cells, roots, maxDirty)
+		if preDirtyOld > maxDirty {
+			return nil
 		}
-		others := 0
-		for sj, sh := range six.shards {
-			if sj != si {
-				others += sh.writerNumCells()
+	} else {
+		preDirtyOld := 0
+		for _, r := range roots {
+			preDirtyOld += base.cells.countRange(r.RangeMin(), r.RangeMax())
+			if preDirtyOld > maxDirty {
+				return nil
 			}
 		}
-		if remaining := op.maxCells - others; remaining >= 1 {
-			op.maxCells = remaining
+	}
+
+	// Splice the new cell rope: clean runs come over from the base snapshot
+	// as subslices (reference lists shared — both sides are immutable),
+	// dirty regions are re-emitted from the writer tree into one fresh
+	// buffer. In the same pass the encoder releases every replaced entry
+	// (the base tree maps any leaf of a cell back to its entry) and
+	// re-encodes the regions' new cells, journaled between Begin and
+	// Commit/Rollback so an abort restores the accounting exactly.
+	enc.Begin()
+	abort := func() *part {
+		enc.Rollback()
+		return nil
+	}
+	newCells := &cellRope{}
+	cur := ropeCursor{rope: base.cells}
+	dirtyBuf := make([]supercover.Cell, 0, 256)
+	kvbuf := sh.kvScratch[:0]
+	regions := make([]act.PatchRegion, len(roots))
+	dirtyOld, dirtyNew := 0, 0
+	for ri, r := range roots {
+		if fault.Hit(fault.RopeSplice) != nil {
+			return abort() // injected splice failure: ordinary patch abort
+		}
+		lo, hi := r.RangeMin(), r.RangeMax()
+		if last := cur.copyBefore(lo, newCells); last != nil && last.ID.RangeMax() >= lo {
+			// A clean cell straddles the region boundary — the dirty-tracking
+			// invariant should make this impossible; rebuild to be safe.
+			return abort()
+		}
+		dirtyOld += cur.skipThrough(hi, func(c supercover.Cell) {
+			enc.Release(base.tree.Find(c.ID.RangeMin()))
+		})
+		start := len(dirtyBuf)
+		var ok bool
+		dirtyBuf, ok = sh.sc.AppendRegion(dirtyBuf, r)
+		if !ok {
+			return abort()
+		}
+		// Not capacity-capped: adjacent regions emit contiguously into
+		// dirtyBuf and appendRun merges their rope runs. The buffer is owned
+		// by the snapshot from here on (fresh per publish, never recycled).
+		region := dirtyBuf[start:len(dirtyBuf)]
+		newCells.appendRun(region)
+		dirtyNew += len(region)
+		kvStart := len(kvbuf)
+		kvbuf = enc.AppendCells(kvbuf, region)
+		regions[ri] = act.PatchRegion{Root: r, KVs: kvbuf[kvStart:len(kvbuf):len(kvbuf)]}
+	}
+	cur.copyRest(newCells)
+	sh.kvScratch = kvbuf[:0]
+
+	dirty := dirtyOld
+	if dirtyNew > dirty {
+		dirty = dirtyNew
+	}
+	if dirty > maxDirty {
+		return abort() // the emitted side grew too large for a patch to pay off
+	}
+	if sh.failPatches > 0 {
+		sh.failPatches-- // test hook: force an abort after staging
+		return abort()
+	}
+
+	tree, ok := base.tree.Patch(regions, newCells.Len())
+	if !ok {
+		return abort()
+	}
+	enc.Commit()
+	// Splice fragmentation: with the background compactor on, crossing
+	// ropeCompactRuns starts a compaction (whose result is a single run)
+	// and the inline flatten is only the distant last resort; with it off
+	// (quarantine, Close, or the differential hook), flatten at the
+	// pre-compactor bound so a degraded shard really compacts inline.
+	flattenAt := maxCellRuns
+	if sh.bgCompactionOffLocked() {
+		flattenAt = ropeCompactRuns
+	}
+	if len(newCells.runs) > flattenAt {
+		newCells = newCells.flatten()
+	}
+	return &part{
+		polys:          sh.polys,
+		cells:          newCells,
+		tree:           tree,
+		table:          enc.Table().Freeze(),
+		opt:            sh.opt,
+		precisionLevel: sh.precisionLevel,
+	}
+}
+
+// mergeRootsMin is the dirty-root count below which a patch keeps the roots
+// as-is: merging pays off when a mutation shatters into hundreds of tiny
+// regions, not for the handful a small edit produces.
+const mergeRootsMin = 32
+
+// mergePatchRoots greedily absorbs runs of spatially adjacent dirty roots
+// into their common ancestor, as long as the clean cells the coarser region
+// re-emits stay a small multiple of the dirty ones. A single Add at a fine
+// precision shatters into hundreds of tiny regions (one per covering cell);
+// patching them individually fragments the cell rope by ~2 runs each and
+// pays per-region patch overhead, while their common ancestors cover the
+// same dirt in a handful of regions. Re-emitting a clean cell is the
+// identity (same bytes, same encoder record via dedup), so merging changes
+// patch cost, never results. Roots arrive sorted and disjoint (CoalesceRoots
+// order) and leave the same way; emitted is the total cell count of the
+// returned regions (the caller's budget pre-check, already computed here).
+func mergePatchRoots(base *cellRope, roots []cellid.CellID, maxDirty int) (merged []cellid.CellID, emitted int) {
+	count := func(c cellid.CellID) int { return base.countRange(c.RangeMin(), c.RangeMax()) }
+	out := make([]cellid.CellID, 0, len(roots))
+	var lastMax cellid.CellID // range end of the last emitted group
+	total := 0                // emitted cells across closed groups
+	cur := roots[0]
+	curCount := count(cur)
+	dirty := curCount
+	for _, r := range roots[1:] {
+		if cur.Contains(r) {
+			continue
+		}
+		rc := count(r)
+		if lca, ok := cellid.CommonAncestor(cur, r); ok {
+			// The level-0 guard keeps a merged region from swallowing a
+			// whole face (which the frozen trie layout would refuse); the
+			// lastMax guard keeps the coarser ancestor from reaching back
+			// over the previously emitted group (regions must stay
+			// disjoint); the remaining guards bound the re-emitted clean
+			// cells per group, per merged region, and across the whole patch
+			// — merging must never turn a patchable publish into a
+			// budget-exceeded rebuild.
+			if lc := count(lca); lca.Level() > 0 && lca.RangeMin() > lastMax &&
+				lc <= 4*(dirty+rc)+64 && lc <= maxDirty/8 && total+lc <= maxDirty/2 {
+				cur, curCount, dirty = lca, lc, dirty+rc
+				continue
+			}
+		}
+		out = append(out, cur)
+		total += curCount
+		lastMax = cur.RangeMax()
+		cur, curCount, dirty = r, rc, rc
+	}
+	return append(out, cur), total + curCount
+}
+
+// mutablePolys returns sh.polys ready for in-place mutation, copying it
+// first when a published snapshot still aliases it. extraCap reserves
+// append room for the copy.
+//
+//act:requires mu
+func (sh *shard) mutablePolys(extraCap int) []*geom.Polygon {
+	if sh.polysShared {
+		polys := make([]*geom.Polygon, len(sh.polys), len(sh.polys)+extraCap)
+		copy(polys, sh.polys)
+		sh.polys = polys
+		sh.polysShared = false
+	}
+	return sh.polys
+}
+
+// resetToSnapshot rewinds the writer-side state to the snapshot s, given
+// the dirty roots describing how the covering diverged from it (a failed
+// publish captured them before the attempt). The undo is scoped by the same
+// dirty tracking that drives incremental publishes: only the dirty subtree
+// roots are detached and re-filled from the snapshot's frozen cells, so it
+// costs O(mutation) instead of re-inserting every frozen cell through
+// conflict resolution; bulk mutations (or a region the splice cannot
+// express) fall back to the full rebuild.
+//
+//act:requires mu
+func (sh *shard) resetToSnapshot(s *part, roots []cellid.CellID, all bool) {
+	if all || !sh.restoreRegions(s, roots) {
+		// Re-inserting the frozen cells rebuilds every piece of writer-side
+		// state, including the per-polygon cell directory.
+		sc := supercover.New()
+		sc.SetWalkRemoval(sh.opt.walkRemoval)
+		for _, run := range s.cells.runs {
+			for _, c := range run {
+				sc.Insert(c.ID, c.Refs)
+			}
+		}
+		sc.TakeDirty() // the rebuild is the published state; nothing is dirty
+		sh.sc = sc
+	}
+	sh.polys = s.polys
+	sh.polysShared = true
+}
+
+// rewindTo force-rewinds the shard to a previously published snapshot,
+// un-publishing whatever landed since: the writer-side state is rebuilt
+// from prev's frozen cells and prev itself is re-stored as the current
+// snapshot. It exists for the cross-shard rollback path — when a
+// multi-shard commit fails partway, the shards that already published their
+// part must take it back so the composed view never exposes a partial
+// batch. (The rolled-back snapshots stay valid for readers that pinned
+// them; the composed reader never completes a pin inside the commit's
+// generation window, so it never observes the partial state.)
+//
+// Unlike after a failed publish, the writer here is *ahead* of prev — its
+// dirty marks were consumed by the successful publish — so the
+// region-scoped undo cannot express the rewind and the covering is rebuilt
+// wholesale. The cost is
+// O(shard), acceptable for a rare failure path. Any in-flight compaction is
+// abandoned (its base may descend from the un-published snapshot) and the
+// encoder is replaced: the next publish takes the full-freeze path, which
+// rebuilds consistent encoder state from scratch.
+//
+//act:publisher
+func (sh *shard) rewindTo(prev *Snapshot) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.abandonCompactionLocked()
+	sh.enc = cellindex.NewEncoder()
+	sh.fullNext = true
+	sh.sc.TakeDirty() // drop stale marks; the reset below rebuilds from scratch
+	sh.resetToSnapshot(prev.parts[0], nil, true)
+	sh.cur.Store(prev)
+}
+
+// restoreRegions resets every dirty subtree from the snapshot's frozen
+// cells. On any failure the covering may be partially reset — still safe,
+// because the caller then rebuilds it from scratch.
+//
+//act:requires mu
+func (sh *shard) restoreRegions(s *part, roots []cellid.CellID) bool {
+	var scratch []supercover.Cell
+	for _, r := range roots {
+		scratch = s.cells.appendRange(scratch[:0], r.RangeMin(), r.RangeMax())
+		if !sh.sc.ResetRegion(r, scratch) {
+			sh.sc.TakeDirty()
+			return false
+		}
+	}
+	// Drop the marks the resets' inserts just made: the writer now matches
+	// the published snapshot exactly.
+	sh.sc.TakeDirty()
+	return true
+}
+
+// publishCounters reports how many publishes took the incremental patch
+// path vs the full-rebuild path (tests and benchmarks assert the fast path
+// actually engages).
+func (sh *shard) publishCounters() (patched, full int) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.patched, sh.full
+}
+
+// Shard-side staging: the Index (update.go) decomposes every mutation into
+// per-shard op lists — coverings pre-computed and pre-routed to the owning
+// shard — and each shard stages its list and publishes once, under its own
+// mutex. The ops carry global polygon ids (assigned by the Index's
+// registry) rather than deriving them from the local polygon slice, which
+// is why staging here pads the slice with tombstones up to the id: a shard
+// only grows past an id when a later mutation forces the length, and a nil
+// slot is indistinguishable from a removed polygon — exactly the semantics
+// merged reads want.
+
+// shardOpKind discriminates shardOp.
+type shardOpKind uint8
+
+const (
+	shardOpAdd shardOpKind = iota
+	shardOpRemove
+	shardOpTrain
+)
+
+// shardOp is one routed mutation for one shard.
+type shardOp struct {
+	kind shardOpKind
+
+	// add / remove
+	id PolygonID
+	// add
+	gp          *geom.Polygon
+	covering    []cellid.CellID // covering cells routed to this shard
+	interior    []cellid.CellID // interior cells routed to this shard
+	refineLevel int
+	// train
+	points   []cellid.CellID // training points routed to this shard
+	maxCells int             // per-shard budget (0 = unlimited), set at commit
+	skip     bool            // train only: global budget already exhausted
+	trainRes *supercover.TrainResult
+}
+
+// applyShardOps stages a routed op batch on this shard and publishes once.
+// It returns the snapshot that was current before the batch, which the
+// multi-shard commit keeps for cross-shard rollback (rewindTo). Staging is
+// always followed by the publish, with no caller code in between, so
+// nothing staged can outlive the call: on a publish failure the shard
+// itself is already rewound (recoverFailedPublish) and its published
+// snapshot unchanged — only the *other* shards of the batch need rewinding.
+func (sh *shard) applyShardOps(ops []shardOp) (prev *Snapshot, err error) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.closed {
+		return nil, ErrClosed
+	}
+	prev = sh.cur.Load()
+	for i := range ops {
+		sh.stageShardOp(&ops[i])
+	}
+	return prev, sh.publish()
+}
+
+// stageShardOp stages one routed op into the writer-side state, with the
+// id, coverings and budget supplied by the router.
+//
+//act:requires mu
+func (sh *shard) stageShardOp(op *shardOp) {
+	switch op.kind {
+	case shardOpAdd:
+		extra := int(op.id) + 1 - len(sh.polys)
+		if extra < 0 {
+			extra = 0
+		}
+		polys := sh.mutablePolys(extra)
+		for len(polys) <= int(op.id) {
+			polys = append(polys, nil)
+		}
+		polys[op.id] = op.gp
+		sh.polys = polys
+		insertCells(sh.sc, op.covering, refs.MakeRef(op.id, false))
+		insertCells(sh.sc, op.interior, refs.MakeRef(op.id, true))
+		if op.refineLevel > 0 && len(op.covering) > 0 {
+			sh.sc.RefineCells(sh.polys, op.covering, op.refineLevel)
+		}
+	case shardOpRemove:
+		// Validation happened in the sharded registry; a shard that never
+		// grew past the id (or already holds a tombstone) has nothing to do.
+		if int(op.id) < len(sh.polys) && sh.polys[op.id] != nil {
+			sh.sc.RemovePolygon(op.id)
+			sh.mutablePolys(0)[op.id] = nil
+		}
+	case shardOpTrain:
+		var res supercover.TrainResult
+		if op.skip {
+			res = supercover.TrainResult{BudgetReached: true}
 		} else {
-			op.skip = true
+			res = sh.sc.Train(sh.polys, op.points, op.maxCells)
+		}
+		if op.trainRes != nil {
+			*op.trainRes = res
 		}
 	}
 }
 
-// reserveID assigns the next polygon id, leaving its owner mask empty until
-// the add commits; a concurrent reader treats the empty mask as a removed
-// id, which is exactly the not-yet-visible semantics an uncommitted add
-// wants.
-func (six *ShardedIndex) reserveID() (PolygonID, error) {
-	six.regMu.Lock()
-	defer six.regMu.Unlock()
-	if six.closed {
-		return 0, ErrClosed
-	}
-	if len(six.regOwners) >= MaxPolygons {
-		return 0, fmt.Errorf("actjoin: polygon limit %d reached", MaxPolygons)
-	}
-	id := PolygonID(len(six.regOwners))
-	six.regOwners = append(six.regOwners, 0)
-	return id, nil
-}
-
-// unreserveID rolls a reservation back after a failed add: the slot is
-// reclaimed when still the newest, otherwise left void (mask 0), matching
-// the unsharded behaviour that a failed Add's id is simply never handed out
-// again.
-func (six *ShardedIndex) unreserveID(id PolygonID) {
-	six.regMu.Lock()
-	defer six.regMu.Unlock()
-	if int(id) == len(six.regOwners)-1 {
-		six.regOwners = six.regOwners[:id]
+// insertCells inserts cells into the covering, each referencing ref.
+func insertCells(sc *supercover.SuperCovering, cells []cellid.CellID, ref refs.Ref) {
+	rs := []refs.Ref{ref}
+	for _, c := range cells {
+		sc.Insert(c, rs)
 	}
 }
 
-// setOwners records a committed polygon's owner mask (or restores a claim
-// after a failed remove).
-func (six *ShardedIndex) setOwners(id PolygonID, mask uint64) {
-	six.regMu.Lock()
-	defer six.regMu.Unlock()
-	six.regOwners[id] = mask
+// writerNumCells reports the writer-side covering size under the mutex;
+// Train uses it to convert the global cell budget into per-shard remainders
+// as the commit walks the shards.
+func (sh *shard) writerNumCells() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.sc.NumCells()
 }
 
-// claimRemove validates a removal and claims it by clearing the owner mask;
-// the caller restores the mask if the commit fails. Claiming up front makes
-// concurrent removes of the same id race to exactly one winner, as with the
-// unsharded index's mutex.
-func (six *ShardedIndex) claimRemove(id PolygonID) (uint64, error) {
-	six.regMu.Lock()
-	defer six.regMu.Unlock()
-	if six.closed {
-		return 0, ErrClosed
-	}
-	if int(id) >= len(six.regOwners) {
-		return 0, fmt.Errorf("actjoin: unknown polygon id %d", id)
-	}
-	mask := six.regOwners[id]
-	if mask == 0 {
-		return 0, ErrRemoved
-	}
-	six.regOwners[id] = 0
-	return mask, nil
-}
-
-func (six *ShardedIndex) isClosed() bool {
-	six.regMu.Lock()
-	defer six.regMu.Unlock()
-	return six.closed
-}
-
-// totalWriterCells sums the shards' writer-side covering sizes under the
-// shared commit lock (so no multi-shard commit is midway through spending a
-// budget while the sum is taken).
-func (six *ShardedIndex) totalWriterCells() int {
-	six.wmu.RLock()
-	defer six.wmu.RUnlock()
-	total := 0
-	for _, sh := range six.shards {
-		total += sh.writerNumCells()
-	}
-	return total
-}
-
-// ShardHealth reports a ShardedIndex's degradation state: the composed
-// State/Cause plus every shard's own Health. Shards are independent failure
-// domains — one shard's quarantined compactor degrades that shard alone
-// (its publishes compact inline; every other shard keeps its background
-// compactor) — so the composed state is Degraded when any shard is, with
-// the first degraded shard's cause.
-type ShardHealth struct {
-	// State is the composed state: Closed after Close, else Degraded when
-	// any shard is degraded, else Healthy.
-	State HealthState
-	// Cause is nil when Healthy, the first degraded shard's cause when
-	// Degraded, and ErrClosed when Closed.
-	Cause error
-	// Shards holds each shard's own health, indexed by shard.
-	Shards []Health
-}
-
-// Health reports the composed health and each shard's own; see ShardHealth.
-func (six *ShardedIndex) Health() ShardHealth {
-	h := ShardHealth{Shards: make([]Health, len(six.shards))}
-	for i, sh := range six.shards {
-		h.Shards[i] = sh.Health()
-		if h.Shards[i].State == Degraded && h.Cause == nil {
-			h.Cause = h.Shards[i].Cause
-		}
-	}
-	switch {
-	case six.isClosed():
-		h.State, h.Cause = Closed, ErrClosed
-	case h.Cause != nil:
-		h.State = Degraded
-	default:
-		h.State = Healthy
-	}
-	return h
-}
-
-// PublishStats returns the shards' publish-path counters summed — the
-// composed index serves one workload, so the aggregate is what an operator
-// alerts on; per-shard attribution is available through Health's per-shard
-// states and, for tests, the shards themselves.
-func (six *ShardedIndex) PublishStats() PublishStats {
-	var st PublishStats
-	for _, sh := range six.shards {
-		s := sh.PublishStats()
-		st.Patched += s.Patched
-		st.Full += s.Full
-		st.CompactionsStarted += s.CompactionsStarted
-		st.CompactionsLanded += s.CompactionsLanded
-		st.CompactionsFailed += s.CompactionsFailed
-		st.ReconcileAborts += s.ReconcileAborts
-		st.ReplayPoisoned += s.ReplayPoisoned
-		st.PublishPanics += s.PublishPanics
-	}
-	return st
-}
-
-// Close shuts every shard down: in-flight compactions are cancelled and
-// further mutations fail with ErrClosed before any compactor goroutine is
-// waited on, so one shard's slow drain never extends another shard's write
-// window. Queries against previously obtained snapshots (and Current)
-// remain valid. Close is idempotent and implements io.Closer; the error is
-// always nil.
-func (six *ShardedIndex) Close() error {
-	six.regMu.Lock()
-	six.closed = true
-	six.regMu.Unlock()
-	six.wmu.Lock()
-	for _, sh := range six.shards {
-		sh.beginClose()
-	}
-	six.wmu.Unlock()
-	for _, sh := range six.shards {
-		sh.compactorWG.Wait()
-	}
-	return nil
+// footprint returns the number of writer-side covering cells referencing
+// the polygon; see Index.FootprintCells.
+func (sh *shard) footprint(id PolygonID) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.sc.Footprint(id)
 }

@@ -12,16 +12,16 @@ import (
 	"time"
 )
 
-// Cross-shard differential suite: a ShardedIndex must be indistinguishable
-// from a plain Index driven through the same mutation history — same ids,
-// same errors, same query answers, and byte-identical serialization — at 1,
-// 2 and 6 shards. The polygons here are small relative to the shard split
-// (no covering cell spans a boundary), so the byte-identity contract from
-// the shard.go package comment applies in full.
+// Cross-shard differential suite: an Index of N shards must be
+// indistinguishable from a one-shard Index — the paper's index — driven
+// through the same mutation history: same ids, same errors, same query
+// answers, and byte-identical serialization. The polygons here are small
+// relative to the shard split (no covering cell spans a boundary), so the
+// byte-identity contract from the Index comment applies in full.
 
 // assertShardedMatches compares the sharded index's composed view against
-// the plain index on everything a caller can observe.
-func assertShardedMatches(t *testing.T, ctx string, six *ShardedIndex, ix *Index, probes []Point) {
+// the one-shard index on everything a caller can observe.
+func assertShardedMatches(t *testing.T, ctx string, six *Index, ix *Index, probes []Point) {
 	t.Helper()
 	ss := six.Current()
 	ps := ix.Current()
@@ -33,7 +33,7 @@ func assertShardedMatches(t *testing.T, ctx string, six *ShardedIndex, ix *Index
 		t.Fatalf("%s: sharded WriteTo: %v", ctx, err)
 	}
 	if _, err := ps.WriteTo(&wb); err != nil {
-		t.Fatalf("%s: plain WriteTo: %v", ctx, err)
+		t.Fatalf("%s: one-shard WriteTo: %v", ctx, err)
 	}
 	if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
 		t.Fatalf("%s: serialized states differ (%d vs %d bytes)", ctx, gb.Len(), wb.Len())
@@ -75,11 +75,11 @@ func assertShardedMatches(t *testing.T, ctx string, six *ShardedIndex, ix *Index
 // TestShardedDifferential drives identical randomized mutation histories —
 // adds, removes (including double removes and unknown ids), unlimited-budget
 // training, multi-op transactions and aborted transactions — through a
-// plain Index and ShardedIndexes at 1, 2 and 6 shards, asserting complete
+// one-shard Index and Indexes at 2, 4 and 6 shards, asserting complete
 // observable equivalence after every operation and a byte-identical
 // serialization round trip at the end.
 func TestShardedDifferential(t *testing.T) {
-	for _, shards := range []int{1, 2, 6} {
+	for _, shards := range []int{2, 4, 6} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			shardedDifferentialRun(t, shards)
 		})
@@ -188,7 +188,7 @@ func shardedDifferentialRun(t *testing.T, shards int) {
 				tx.Train(trainPts, 0)
 				return nil
 			})
-			err2 := six.Apply(func(tx *ShardTx) error {
+			err2 := six.Apply(func(tx *Tx) error {
 				for _, p := range adds {
 					id, err := tx.Add(p)
 					if err != nil {
@@ -243,7 +243,7 @@ func shardedDifferentialRun(t *testing.T, shards int) {
 				return abort
 			}
 			err1 := ix.Apply(func(tx *Tx) error { return stage(tx.Add, tx.Remove) })
-			err2 := six.Apply(func(tx *ShardTx) error { return stage(tx.Add, tx.Remove) })
+			err2 := six.Apply(func(tx *Tx) error { return stage(tx.Add, tx.Remove) })
 			if !errors.Is(err1, abort) || !errors.Is(err2, abort) {
 				t.Fatalf("%s: aborted Apply diverged: %v vs %v", ctx, err1, err2)
 			}
@@ -252,7 +252,7 @@ func shardedDifferentialRun(t *testing.T, shards int) {
 	}
 
 	// The composed serialization must round-trip through ReadIndexFrom into
-	// an index indistinguishable from the plain one.
+	// an index indistinguishable from the one-shard one.
 	var buf bytes.Buffer
 	if _, err := six.Current().WriteTo(&buf); err != nil {
 		t.Fatalf("final WriteTo: %v", err)
@@ -297,7 +297,7 @@ func TestShardedClosedAndLimits(t *testing.T) {
 	if err := six.Remove(0); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Remove after Close: %v, want ErrClosed", err)
 	}
-	if err := six.Apply(func(tx *ShardTx) error { return nil }); !errors.Is(err, ErrClosed) {
+	if err := six.Apply(func(tx *Tx) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Apply after Close: %v, want ErrClosed", err)
 	}
 	if st := six.Train(randPoints(rng, 5), 0); st != (TrainStats{}) {
@@ -312,6 +312,72 @@ func TestShardedClosedAndLimits(t *testing.T) {
 	}
 	if s.CoversBatch(randPoints(rng, 10), QueryOptions{}) == nil {
 		t.Fatal("CoversBatch on pinned snapshot returned nil slice header")
+	}
+}
+
+// TestShardedFootprintCells checks FootprintCells on a multi-shard index,
+// where it sums the owner shards: for every polygon whose covering no shard
+// boundary splits it equals the one-shard count, and it is 0 after Remove.
+func TestShardedFootprintCells(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var initial []Polygon
+	for i := 0; i < 12; i++ {
+		initial = append(initial, clusterSquare(rng, 0), clusterSquare(rng, 1))
+	}
+	one, err := NewIndex(initial, WithPrecision(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	six, err := NewShardedIndex(initial, 2, WithPrecision(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer six.Close()
+	if six.NumShards() != 2 {
+		t.Fatalf("effective shards = %d, want 2", six.NumShards())
+	}
+	added := clusterSquare(rng, 1)
+	id1, err1 := one.Add(added)
+	id2, err2 := six.Add(added)
+	if err1 != nil || err2 != nil || id1 != id2 {
+		t.Fatalf("Add diverged: (%v, %v) vs (%v, %v)", id1, err1, id2, err2)
+	}
+
+	// split[id] marks polygons with a one-shard covering cell that spans a
+	// shard boundary: the sharded index holds such a cell as several pieces.
+	split := make(map[PolygonID]bool)
+	for _, c := range one.Current().frozenCells() {
+		if six.router.shardOfLeaf(c.ID.RangeMin()) != six.router.shardOfLeaf(c.ID.RangeMax()) {
+			for _, r := range c.Refs {
+				split[r.PolygonID()] = true
+			}
+		}
+	}
+	checked := 0
+	for id := PolygonID(0); id <= id1; id++ {
+		if split[id] {
+			continue
+		}
+		want := one.FootprintCells(id)
+		if want == 0 {
+			t.Fatalf("polygon %d: one-shard footprint is 0", id)
+		}
+		if got := six.FootprintCells(id); got != want {
+			t.Errorf("polygon %d: sharded footprint %d, one-shard %d", id, got, want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("every polygon straddles a shard boundary; the fixture checks nothing")
+	}
+	for _, id := range []PolygonID{0, 1, id1} {
+		if err := six.Remove(id); err != nil {
+			t.Fatalf("Remove(%d): %v", id, err)
+		}
+		if got := six.FootprintCells(id); got != 0 {
+			t.Errorf("polygon %d: footprint %d after Remove, want 0", id, got)
+		}
 	}
 }
 
@@ -381,7 +447,7 @@ func TestShardedRaceStress(t *testing.T) {
 			default:
 			}
 			var ids [2]PolygonID
-			err := six.Apply(func(tx *ShardTx) error {
+			err := six.Apply(func(tx *Tx) error {
 				var err error
 				if ids[0], err = tx.Add(sentA); err != nil {
 					return err
@@ -393,7 +459,7 @@ func TestShardedRaceStress(t *testing.T) {
 				t.Errorf("sentinel add Apply: %v", err)
 				return
 			}
-			err = six.Apply(func(tx *ShardTx) error {
+			err = six.Apply(func(tx *Tx) error {
 				if err := tx.Remove(ids[0]); err != nil {
 					return err
 				}
