@@ -122,7 +122,7 @@ func (r *cellRope) appendRange(dst []supercover.Cell, lo, hi cellid.CellID) []su
 // countRange counts the cells with lo <= ID <= hi — appendRange without the
 // copy, for sizing decisions before any splice work happens.
 //
-//act:noalloc
+//act:hotpath
 func (r *cellRope) countRange(lo, hi cellid.CellID) int {
 	total := 0
 	r.rangeRuns(lo, hi, func(seg []supercover.Cell) { total += len(seg) })

@@ -14,23 +14,31 @@ import (
 	"strings"
 )
 
-// allocbound gates the allocation budget of the hot path with the
-// compiler's own escape analysis. Every //act:hotpath and //act:noalloc
-// function must stay heap-allocation free: allocbound runs
-// `go build -gcflags=-m=2` over the packages that contain annotated
-// functions, parses the escape diagnostics ("x escapes to heap",
-// "moved to heap: x" — closure captures and interface boxes surface as
-// the same messages), and reports every site that falls inside an
-// annotated function's body. A site is suppressed by an
-// //act:allow-alloc <reason> comment on the same line or the line above.
+// allocbound gates the allocation budget of the hot path. Every
+// //act:hotpath function must stay heap-allocation free, checked three
+// ways:
 //
-// The static verdict is cross-checked dynamically: each annotated
-// function must be covered by a testing.AllocsPerRun case, declared by an
-// //act:alloc-harness <name> marker in a _test.go file of the same
-// package (run `actvet -allocharness` for skeletons of the missing
-// cases). CI runs those harnesses with the benchmark alloc gate, so a
-// regression has to get past the compiler transcript and the runtime
-// allocation counter.
+//   - the compiler's own escape analysis: allocbound runs
+//     `go build -gcflags=-m=2` over the packages that contain annotated
+//     functions, parses the escape diagnostics ("x escapes to heap",
+//     "moved to heap: x" — escaping closure captures and interface boxes
+//     surface as the same messages), and reports every site that falls
+//     inside an annotated function's body;
+//   - two syntactic container-growth rules for what that transcript cannot
+//     see, because the growth happens inside the runtime: map literals and
+//     make(map) (a map allocates buckets as it grows even when the map
+//     itself stays on the stack), and append into a local slice declared
+//     without capacity. A line flagged by these rules is not reported
+//     again from the transcript;
+//   - a dynamic cross-check: each annotated function must be covered by a
+//     testing.AllocsPerRun case, declared by an //act:alloc-harness <name>
+//     marker in a _test.go file of the same package (run
+//     `actvet -allocharness` for skeletons of the missing cases). CI runs
+//     those harnesses, so a regression has to get past the compiler
+//     transcript and the runtime allocation counter.
+//
+// A site is suppressed by an //act:allow-alloc <reason> comment on the
+// same line or the line above.
 func allocbound(l *loader, cg *callGraph, ann *annotations) ([]diagnostic, error) {
 	var diags []diagnostic
 	report := func(pos token.Position, format string, args ...any) {
@@ -61,7 +69,20 @@ func allocbound(l *loader, cg *callGraph, ann *annotations) ([]diagnostic, error
 		return nil, err
 	}
 
+	var sites []escapeSite
+	grown := map[string]bool{} // file:line of every growth-rule site
+	for _, t := range targets {
+		for _, s := range growthSites(l, t.decl) {
+			grown[fmt.Sprintf("%s:%d", s.file, s.line)] = true
+			sites = append(sites, s)
+		}
+	}
 	for _, e := range escapes {
+		if !grown[fmt.Sprintf("%s:%d", e.file, e.line)] {
+			sites = append(sites, e)
+		}
+	}
+	for _, e := range sites {
 		t := findTarget(targets, e.file, e.line)
 		if t == nil {
 			continue
@@ -70,8 +91,8 @@ func allocbound(l *loader, cg *callGraph, ann *annotations) ([]diagnostic, error
 			continue
 		}
 		report(token.Position{Filename: e.file, Line: e.line, Column: e.col},
-			"heap allocation in //act:%s function %s: %s (suppress with //act:allow-alloc <reason>)",
-			t.kind, t.name, e.msg)
+			"heap allocation in //act:hotpath function %s: %s (suppress with //act:allow-alloc <reason>)",
+			t.name, e.msg)
 	}
 
 	// Dynamic cross-check coverage: every target needs a harness case.
@@ -84,42 +105,105 @@ func allocbound(l *loader, cg *callGraph, ann *annotations) ([]diagnostic, error
 			continue
 		}
 		report(l.position(t.obj.Pos()),
-			"//act:%s function %s has no AllocsPerRun harness — add an //act:alloc-harness %s case to the package's TestNoAllocHarness (see `actvet -allocharness`)",
-			t.kind, t.name, t.name)
+			"//act:hotpath function %s has no AllocsPerRun harness — add an //act:alloc-harness %s case to the package's TestNoAllocHarness (see `actvet -allocharness`)",
+			t.name, t.name)
 	}
 	return diags, nil
+}
+
+// growthSites applies the container-growth rules to one annotated
+// function: map literals, make(map), and append into a local slice
+// declared without capacity. Appends into parameters, fields or slices
+// made with a length or capacity are the amortized-reuse idiom and pass.
+func growthSites(l *loader, fd *ast.FuncDecl) []escapeSite {
+	noCap := map[types.Object]bool{}
+	markIfEmpty := func(name *ast.Ident, val ast.Expr) {
+		obj := l.info.Defs[name]
+		if obj == nil {
+			return
+		}
+		if _, ok := obj.Type().Underlying().(*types.Slice); !ok {
+			return
+		}
+		if lit, ok := unparen(val).(*ast.CompositeLit); val == nil || ok && len(lit.Elts) == 0 {
+			noCap[obj] = true // var s []T, s := []T{}
+		}
+	}
+	var sites []escapeSite
+	site := func(n ast.Node, msg string) {
+		pos := l.position(n.Pos())
+		sites = append(sites, escapeSite{file: pos.Filename, line: pos.Line, col: pos.Column, msg: msg})
+	}
+	isMap := func(e ast.Expr) bool {
+		t := l.typeOf(e)
+		if t == nil {
+			return false
+		}
+		_, ok := t.Underlying().(*types.Map)
+		return ok
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ValueSpec:
+			for i, name := range n.Names {
+				var val ast.Expr
+				if i < len(n.Values) {
+					val = n.Values[i]
+				}
+				markIfEmpty(name, val)
+			}
+		case *ast.AssignStmt:
+			if n.Tok == token.DEFINE && len(n.Lhs) == len(n.Rhs) {
+				for i, lhs := range n.Lhs {
+					if id, ok := lhs.(*ast.Ident); ok {
+						markIfEmpty(id, n.Rhs[i])
+					}
+				}
+			}
+		case *ast.CompositeLit:
+			if isMap(n) {
+				site(n, "map literal allocates on every call")
+			}
+		case *ast.CallExpr:
+			id, ok := unparen(n.Fun).(*ast.Ident)
+			if !ok || len(n.Args) == 0 {
+				break
+			}
+			if id.Name == "make" && isMap(n.Args[0]) {
+				site(n, "make(map) allocates on every call")
+			}
+			if arg, ok := unparen(n.Args[0]).(*ast.Ident); ok && id.Name == "append" && noCap[l.objOf(arg)] {
+				site(n, fmt.Sprintf("append to %s, declared without preallocated capacity", arg.Name))
+			}
+		}
+		return true
+	})
+	return sites
 }
 
 // allocTarget is one annotated function with its body's line span.
 type allocTarget struct {
 	obj        types.Object
+	decl       *ast.FuncDecl
 	name       string // Func or Recv.Method
-	kind       string // "hotpath" or "noalloc"
 	dir        string
 	file       string
 	start, end int
 }
 
-// allocTargets collects every //act:hotpath and //act:noalloc function
-// with a body.
+// allocTargets collects every //act:hotpath function with a body.
 func allocTargets(l *loader, cg *callGraph, ann *annotations) []*allocTarget {
 	var targets []*allocTarget
 	for obj, ctx := range cg.decls {
-		var kind string
-		switch {
-		case ann.noalloc[obj]:
-			kind = "noalloc"
-		case ann.hotpath[obj]:
-			kind = "hotpath"
-		default:
+		if !ann.hotpath[obj] {
 			continue
 		}
 		start := l.position(ctx.decl.Pos())
 		end := l.position(ctx.decl.End())
 		targets = append(targets, &allocTarget{
 			obj:   obj,
+			decl:  ctx.decl,
 			name:  targetName(ctx.decl),
-			kind:  kind,
 			dir:   ctx.pkg.dir,
 			file:  start.Filename,
 			start: start.Line,

@@ -15,7 +15,7 @@ import (
 //	//act:guarded <mu>        field: accessed only under the mutex <mu>
 //	//act:requires <mu>       function: runs with <mu> already acquired
 //	//act:exclusive           function: operates on a fresh, unshared value;
-//	                          lockcheck does not apply inside it
+//	                          lockorder does not apply inside it
 //	//act:frozen              function: its results are frozen (shared with
 //	                          immutable snapshots, never written through)
 //	                          field: permanently frozen once set
@@ -23,10 +23,9 @@ import (
 //	                          frozencheck does not apply inside it
 //	//act:mutates <n>         function: writes through its n-th argument
 //	                          (0-based; receivers are not counted)
-//	//act:hotpath             function: allocation/indirection AST bans plus
-//	                          the allocbound escape-analysis gate
-//	//act:noalloc             function: allocbound escape-analysis gate only
-//	                          (no AST shape bans)
+//	//act:hotpath             function: allocation-free; allocbound checks it
+//	                          against the escape transcript, two container-
+//	                          growth rules and an AllocsPerRun harness
 //	//act:published           field: the atomically published snapshot pointer
 //	//act:publisher           function: may Store/Swap a //act:published field
 //	//act:lock <class>        field: declares a mutex with a module-unique
@@ -55,12 +54,10 @@ import (
 //	//act:ignore-err <why>    site comment: the discarded error on this (or
 //	                          the next) line is deliberate, with a reason
 //
-// The mutex name in guarded/requires is resolved lexically: a function
-// "holds mu" when its own body (not a nested goroutine) contains a
-// <path>.mu.Lock() call, or when it is annotated //act:requires mu.
-// lockorder re-resolves the same names to //act:lock classes, so two
-// structs may both name their mutex field "mu" without the analyses
-// conflating them.
+// The mutex name in guarded/requires is resolved to an //act:lock class
+// (see resolver): the annotated struct's — or the method receiver's — own
+// field first, then the module-wide class vocabulary, so two structs may
+// both name their mutex field "mu" without the analyses conflating them.
 type annotations struct {
 	guarded      map[types.Object]string
 	requires     map[types.Object][]string
@@ -73,7 +70,6 @@ type annotations struct {
 	published    map[types.Object]bool
 	publisher    map[types.Object]bool
 	locks        map[types.Object]string // mutex field -> lock-order class
-	noalloc      map[types.Object]bool
 	pinned       map[types.Object]bool
 	refresh      map[types.Object]bool
 	atomic       map[types.Object]bool   // fields under the atomics discipline
@@ -97,7 +93,6 @@ func newAnnotations() *annotations {
 		published:    map[types.Object]bool{},
 		publisher:    map[types.Object]bool{},
 		locks:        map[types.Object]string{},
-		noalloc:      map[types.Object]bool{},
 		pinned:       map[types.Object]bool{},
 		refresh:      map[types.Object]bool{},
 		atomic:       map[types.Object]bool{},
@@ -247,8 +242,6 @@ func applyFuncDirective(ann *annotations, obj types.Object, dir directive, bad f
 		}
 	case "hotpath":
 		ann.hotpath[obj] = true
-	case "noalloc":
-		ann.noalloc[obj] = true
 	case "refresh":
 		ann.refresh[obj] = true
 	case "publisher":
@@ -338,7 +331,7 @@ func collectFieldAnnotations(l *loader, ann *annotations, st *ast.StructType, ba
 				for _, name := range f.Names {
 					ann.seqlock[l.info.Defs[name]] = dir.args[0]
 				}
-			case "requires", "exclusive", "freezer", "mutates", "hotpath", "noalloc", "refresh", "publisher", "seam":
+			case "requires", "exclusive", "freezer", "mutates", "hotpath", "refresh", "publisher", "seam":
 				bad(dir.pos, "//act:%s applies to functions, not struct fields", dir.name)
 			case "allow-alloc", "norecover", "ignore-err":
 				// Site-level; collected positionally.

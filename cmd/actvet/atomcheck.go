@@ -23,8 +23,13 @@ import (
 //     read-modify-write that loses updates unless both ends run under one
 //     held lock class or the function drives a CompareAndSwap loop on the
 //     field. Add/Swap/CompareAndSwap are single atomic RMWs and are always
-//     fine.
-func atomcheck(l *loader, cg *callGraph, ann *annotations) []diagnostic {
+//     fine;
+//   - Store and Swap on an //act:published field (the snapshot pointer)
+//     appear only in //act:publisher functions. A go-launched literal takes
+//     its publisher status from the declaration it appears in — the
+//     compactor's landing goroutine is a literal inside an annotated
+//     function.
+func atomcheck(l *loader, cg *callGraph, ann *annotations, res *resolver) []diagnostic {
 	var diags []diagnostic
 	tracked := map[types.Object]bool{} // fields under the discipline
 
@@ -83,8 +88,21 @@ func atomcheck(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 		}
 	}
 
-	// Pass 3: load-then-store read-modify-write sequences per context.
-	diags = append(diags, atomcheckRMW(l, cg, ann)...)
+	// Pass 3, per context: load-then-store read-modify-write sequences,
+	// and writes to the published pointer outside the publish machinery.
+	diags = append(diags, atomcheckRMW(l, cg, res)...)
+	for _, ctx := range cg.contexts {
+		publisher := ann.publisher[ctx.obj] || ctx.obj == nil && ann.publisher[ctx.encl]
+		for _, op := range ctx.atomics {
+			if ann.published[op.field] && !publisher && (op.op == "Store" || op.op == "Swap") {
+				diags = append(diags, diagnostic{
+					pos:      l.position(op.pos),
+					analyzer: "atomcheck",
+					msg:      fmt.Sprintf("%s on published field %s outside an //act:publisher function", op.op, op.field.Name()),
+				})
+			}
+		}
+	}
 	return diags
 }
 
@@ -178,9 +196,8 @@ func atomcheckUses(l *loader, ann *annotations, f *ast.File, tracked map[types.O
 // context: the classic lost-update shape. The sequence is accepted when the
 // context also drives a CompareAndSwap on the field (a CAS loop re-validates
 // the read) or when some lock class is held at both the load and the store.
-func atomcheckRMW(l *loader, cg *callGraph, ann *annotations) []diagnostic {
+func atomcheckRMW(l *loader, cg *callGraph, res *resolver) []diagnostic {
 	var diags []diagnostic
-	classes := requiresResolver(ann)
 	for _, ctx := range cg.contexts {
 		byField := map[types.Object][]atomicOp{}
 		for _, op := range ctx.atomics {
@@ -196,7 +213,7 @@ func atomcheckRMW(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 			if cas {
 				continue
 			}
-			entry := classes.entryOf(ctx.obj)
+			entry := res.entry(ctx)
 			var loadPos token.Pos
 			for _, op := range ops {
 				if op.deferred {
@@ -240,49 +257,9 @@ func lockedTogether(ctx *funcContext, entry map[string]bool, p1, p2 token.Pos) b
 		}
 	}
 	for c := range seen {
-		if heldAt(ctx, entry, c, p1) && heldAt(ctx, entry, c, p2) {
+		if heldAt(ctx, entry, c, p1, false) && heldAt(ctx, entry, c, p2, false) {
 			return true
 		}
 	}
 	return false
-}
-
-// classResolver maps //act:requires names (a lock class, or a mutex field
-// name with a unique class) to classes, so entry-held classes can seed the
-// positional held-tracking of atomcheck and seqcheck.
-type classResolver struct {
-	classes map[string]bool   // declared class names
-	byField map[string]string // mutex field name -> unique class ("" when ambiguous)
-	ann     *annotations
-}
-
-func requiresResolver(ann *annotations) *classResolver {
-	r := &classResolver{classes: map[string]bool{}, byField: map[string]string{}, ann: ann}
-	for mu, class := range ann.locks {
-		r.classes[class] = true
-		if prev, ok := r.byField[mu.Name()]; ok && prev != class {
-			r.byField[mu.Name()] = ""
-		} else {
-			r.byField[mu.Name()] = class
-		}
-	}
-	return r
-}
-
-// entryOf returns the lock classes a declared function's //act:requires
-// names resolve to (held by contract at entry). Go-launched literals start
-// with nothing held.
-func (r *classResolver) entryOf(obj types.Object) map[string]bool {
-	entry := map[string]bool{}
-	if obj == nil {
-		return entry
-	}
-	for _, name := range r.ann.requires[obj] {
-		if r.classes[name] {
-			entry[name] = true
-		} else if c := r.byField[name]; c != "" {
-			entry[c] = true
-		}
-	}
-	return entry
 }

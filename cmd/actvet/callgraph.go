@@ -9,10 +9,10 @@ import (
 	"strings"
 )
 
-// The whole-program analyzers (lockorder, snapcheck, allocbound) share one
-// view of the module: every function declaration reduced to the events the
-// analyses care about — mutex Lock/Unlock calls, resolved static call
-// sites, and accesses to //act:guarded fields — in source order.
+// The whole-program analyzers share one view of the module: every function
+// declaration reduced to the events the analyses care about — mutex
+// Lock/Unlock calls, resolved static call sites, accesses to //act:guarded
+// fields and sync/atomic operations — in source order.
 //
 // A funcContext is the unit of analysis. Each function declaration is one
 // context; a function literal launched by a go statement becomes a context
@@ -245,7 +245,7 @@ func atomicOpOf(l *loader, ann *annotations, call *ast.CallExpr) (atomicOp, bool
 	if inner, ok := unparen(sel.X).(*ast.SelectorExpr); ok {
 		if fld := l.fieldOf(inner); fld != nil && isAtomicType(fld.Type()) && atomicTracked(ann, fld) {
 			if op, ok := atomicOpName(sel.Sel.Name); ok {
-				return atomicOp{field: fld, op: op, pos: call.Pos(), argOne: op == "Add" && argIsOne(l, call, 0)}, true
+				return atomicOp{field: fld, op: op, pos: call.Pos(), argOne: op == "Add" && len(call.Args) > 0 && isConstOne(l, call.Args[0])}, true
 			}
 		}
 	}
@@ -255,7 +255,7 @@ func atomicOpOf(l *loader, ann *annotations, call *ast.CallExpr) (atomicOp, bool
 			if ue, isAddr := unparen(call.Args[0]).(*ast.UnaryExpr); isAddr && ue.Op == token.AND {
 				if fsel, ok := unparen(ue.X).(*ast.SelectorExpr); ok {
 					if fld := l.fieldOf(fsel); atomicTracked(ann, fld) {
-						return atomicOp{field: fld, op: op, pos: call.Pos(), argOne: op == "Add" && argIsOne(l, call, 1)}, true
+						return atomicOp{field: fld, op: op, pos: call.Pos(), argOne: op == "Add" && len(call.Args) > 1 && isConstOne(l, call.Args[1])}, true
 					}
 				}
 			}
@@ -275,12 +275,9 @@ func atomicOpName(name string) (string, bool) {
 	return "", false
 }
 
-// argIsOne reports whether the i-th argument of the call is the constant 1.
-func argIsOne(l *loader, call *ast.CallExpr, i int) bool {
-	if i >= len(call.Args) {
-		return false
-	}
-	tv, ok := l.info.Types[call.Args[i]]
+// isConstOne reports whether e is the constant 1.
+func isConstOne(l *loader, e ast.Expr) bool {
+	tv, ok := l.info.Types[e]
 	if !ok || tv.Value == nil {
 		return false
 	}
@@ -291,11 +288,12 @@ func argIsOne(l *loader, call *ast.CallExpr, i int) bool {
 // heldAt reports whether class is held at pos within a context, given the
 // classes held at entry: an acquisition before pos with no non-deferred
 // release in between. Deferred unlocks fire at function exit, so they
-// never release earlier positions.
-func heldAt(ctx *funcContext, entry map[string]bool, class string, pos token.Pos) bool {
+// never release earlier positions. With exclusive set, RLock/RUnlock
+// events are ignored: a shared hold does not make a writer.
+func heldAt(ctx *funcContext, entry map[string]bool, class string, pos token.Pos, exclusive bool) bool {
 	held := entry[class]
 	for _, e := range ctx.events {
-		if e.pos >= pos || e.class != class || e.class == "" {
+		if e.pos >= pos || e.class != class || e.class == "" || exclusive && e.rlock {
 			continue
 		}
 		if e.unlock {

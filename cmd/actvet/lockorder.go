@@ -10,10 +10,9 @@ import (
 	"strings"
 )
 
-// lockorder is the whole-program companion to lockcheck. lockcheck matches
-// mutexes by source name inside one function; lockorder resolves every
-// mutex field to a module-unique //act:lock class and follows facts across
-// the call graph:
+// lockorder enforces the //act:guarded and //act:requires contracts. It
+// resolves every mutex field to a module-unique //act:lock class and
+// follows facts across the call graph, in statement order:
 //
 //   - every sync.Mutex/sync.RWMutex struct field must declare its class
 //     with //act:lock <name>, and class names must be unique in the module
@@ -35,29 +34,23 @@ import (
 //     without acquiring or declaring the class is reported, which surfaces
 //     an unlocked path from an exported entry point even when the access
 //     sits several unannotated calls deep. Goroutine bodies start with
-//     nothing held and are checked the same way.
+//     nothing held and are checked the same way, and a go statement that
+//     launches an //act:requires function is always reported;
+//   - an exported method must not return a guarded field whose type shares
+//     storage (slice, map, pointer, chan, func, interface), nor the address
+//     of any guarded field — callers would hold an interior pointer into
+//     state that mutates under the writer lock.
 //
 // lockorder also rejects prose lock-contract comments — the phrasings
 // matched by proseRE — on functions and fields that carry no matching
 // //act: directive: the contract lives in the annotations, not in prose
 // that drifts.
-func lockorder(l *loader, cg *callGraph, ann *annotations) []diagnostic {
-	var diags []diagnostic
+func lockorder(l *loader, cg *callGraph, ann *annotations, res *resolver) []diagnostic {
+	diags := append([]diagnostic(nil), res.diags...)
 	report := func(pos token.Pos, format string, args ...any) {
 		diags = append(diags, diagnostic{pos: l.position(pos), analyzer: "lockorder", msg: fmt.Sprintf(format, args...)})
 	}
-
-	res := newResolver(l, cg, ann, report)
-	res.checkDeclarations()
-	reqClasses := res.requiresClasses()
-
 	may := mayAcquire(cg)
-	entryOf := func(ctx *funcContext) map[string]bool {
-		if ctx.obj == nil {
-			return nil // goroutines start with no locks held
-		}
-		return reqClasses[ctx.obj]
-	}
 
 	// Double acquisition and order edges.
 	type edge struct {
@@ -77,22 +70,25 @@ func lockorder(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 		if ctx.obj != nil && ann.exclusive[ctx.obj] {
 			continue
 		}
-		entry := entryOf(ctx)
+		entry := res.entry(ctx)
 		for _, e := range ctx.events {
 			if e.unlock || e.class == "" {
 				continue
 			}
-			if heldAt(ctx, entry, e.class, e.pos) {
+			if heldAt(ctx, entry, e.class, e.pos, false) {
 				report(e.pos, "%s (class %s) acquired while already held in %s", e.name, e.class, contextName(ctx))
 			}
 			for _, a := range res.classes {
-				if a != e.class && heldAt(ctx, entry, a, e.pos) {
+				if a != e.class && heldAt(ctx, entry, a, e.pos, false) {
 					addEdge(a, e.class, e.pos, contextName(ctx))
 				}
 			}
 		}
 		for _, c := range ctx.calls {
 			if c.inGo {
+				for class := range res.requires[c.callee] {
+					report(c.pos, "go statement calls %s, which requires %s held — goroutines inherit no locks", c.callee.Name(), class)
+				}
 				continue
 			}
 			callee := cg.decls[c.callee]
@@ -100,13 +96,13 @@ func lockorder(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 				continue
 			}
 			for b := range may[c.callee] {
-				if heldAt(ctx, entry, b, c.pos) {
+				if heldAt(ctx, entry, b, c.pos, false) {
 					report(c.pos, "call to %s with %s held: %s may acquire %s again — self-deadlock",
 						c.callee.Name(), b, c.callee.Name(), b)
 					continue
 				}
 				for _, a := range res.classes {
-					if a != b && heldAt(ctx, entry, a, c.pos) {
+					if a != b && heldAt(ctx, entry, a, c.pos, false) {
 						addEdge(a, b, c.pos, "call to "+c.callee.Name())
 					}
 				}
@@ -153,10 +149,10 @@ func lockorder(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 			if ann.exclusive[obj] {
 				continue
 			}
-			entry := reqClasses[obj]
+			entry := res.entry(ctx)
 			for _, a := range ctx.accesses {
 				class := res.guardedClass[a.field]
-				if class == "" || heldAt(ctx, entry, class, a.pos) {
+				if class == "" || heldAt(ctx, entry, class, a.pos, false) {
 					continue
 				}
 				if need(obj, class, witness{pos: a.pos, why: fmt.Sprintf("access to %s.%s", fieldOwner(a.field.(*types.Var)), a.field.Name())}) {
@@ -167,8 +163,8 @@ func lockorder(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 				if c.inGo {
 					continue
 				}
-				for class := range reqClasses[c.callee] {
-					if heldAt(ctx, entry, class, c.pos) {
+				for class := range res.requires[c.callee] {
+					if heldAt(ctx, entry, class, c.pos, false) {
 						continue
 					}
 					if need(obj, class, witness{pos: c.pos, why: "call to " + c.callee.Name()}) {
@@ -176,7 +172,7 @@ func lockorder(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 					}
 				}
 				for class := range needs[c.callee] {
-					if heldAt(ctx, entry, class, c.pos) {
+					if heldAt(ctx, entry, class, c.pos, false) {
 						continue
 					}
 					if need(obj, class, witness{pos: c.pos, why: "call to " + c.callee.Name()}) {
@@ -186,7 +182,7 @@ func lockorder(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 			}
 		}
 	}
-	for obj := range cg.decls {
+	for obj, ctx := range cg.decls {
 		classes := make([]string, 0, len(needs[obj]))
 		for class := range needs[obj] {
 			classes = append(classes, class)
@@ -195,12 +191,13 @@ func lockorder(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 		for _, class := range classes {
 			w := needs[obj][class]
 			entry := ""
-			if isExported(obj.Name()) {
+			if token.IsExported(obj.Name()) {
 				entry = " from exported entry point " + obj.Name()
 			}
 			report(w.pos, "%s reaches state guarded by %s without %s held%s (acquire it, or annotate //act:requires or //act:exclusive)",
 				w.why, class, class, entry)
 		}
+		diags = append(diags, leakCheck(l, ann, ctx.decl)...)
 	}
 	// Goroutine contexts: checked directly, nothing propagates out of them.
 	for _, ctx := range cg.contexts {
@@ -209,15 +206,18 @@ func lockorder(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 		}
 		for _, a := range ctx.accesses {
 			class := res.guardedClass[a.field]
-			if class == "" || heldAt(ctx, nil, class, a.pos) {
+			if class == "" || heldAt(ctx, nil, class, a.pos, false) {
 				continue
 			}
 			report(a.pos, "goroutine accesses %s.%s guarded by %s without acquiring it (goroutines inherit no locks)",
 				fieldOwner(a.field.(*types.Var)), a.field.Name(), class)
 		}
 		for _, c := range ctx.calls {
-			for class := range reqClasses[c.callee] {
-				if !heldAt(ctx, nil, class, c.pos) {
+			if c.inGo {
+				continue
+			}
+			for class := range res.requires[c.callee] {
+				if !heldAt(ctx, nil, class, c.pos, false) {
 					report(c.pos, "goroutine calls %s, which runs under %s, without acquiring it", c.callee.Name(), class)
 				}
 			}
@@ -240,32 +240,36 @@ func contextName(ctx *funcContext) string {
 }
 
 // resolver maps the source-level mutex names of //act:guarded and
-// //act:requires annotations onto //act:lock classes.
+// //act:requires annotations onto //act:lock classes. It is built once
+// per run and shared by every analyzer that tracks held classes
+// (lockorder, atomcheck, seqcheck), so they agree on what a name means.
 type resolver struct {
 	l            *loader
-	cg           *callGraph
 	ann          *annotations
-	report       func(token.Pos, string, ...any)
-	classes      []string                     // sorted class names
-	byClass      map[string][]types.Object    // class -> declaring mutex fields
-	byFieldName  map[string][]types.Object    // mutex field name -> fields
-	guardedClass map[types.Object]string      // guarded field -> class
-	structOf     map[types.Object]*structInfo // field -> declaring struct
-	structs      []*structInfo
+	diags        []diagnostic                     // vocabulary errors, reported by lockorder
+	classes      []string                         // sorted class names
+	byClass      map[string][]types.Object        // class -> declaring mutex fields
+	byFieldName  map[string][]types.Object        // mutex field name -> fields
+	guardedClass map[types.Object]string          // guarded field -> class
+	requires     map[types.Object]map[string]bool // function -> classes held at entry
+	structOf     map[types.Object]*structInfo     // field -> declaring struct
 }
 
 type structInfo struct {
 	name   string
 	fields map[string]types.Object
-	node   *ast.StructType
 }
 
-func newResolver(l *loader, cg *callGraph, ann *annotations, report func(token.Pos, string, ...any)) *resolver {
+// newResolver collects the module's mutex fields and resolves every
+// //act:guarded and //act:requires name to its class.
+func newResolver(l *loader, ann *annotations) *resolver {
 	res := &resolver{
-		l: l, cg: cg, ann: ann, report: report,
+		l:            l,
+		ann:          ann,
 		byClass:      map[string][]types.Object{},
 		byFieldName:  map[string][]types.Object{},
 		guardedClass: map[types.Object]string{},
+		requires:     map[types.Object]map[string]bool{},
 		structOf:     map[types.Object]*structInfo{},
 	}
 	for _, p := range l.pkgs {
@@ -287,8 +291,7 @@ func newResolver(l *loader, cg *callGraph, ann *annotations, report func(token.P
 					if !ok {
 						continue
 					}
-					si := &structInfo{name: ts.Name.Name, fields: map[string]types.Object{}, node: st}
-					res.structs = append(res.structs, si)
+					si := &structInfo{name: ts.Name.Name, fields: map[string]types.Object{}}
 					for _, fl := range st.Fields.List {
 						for _, name := range fl.Names {
 							obj := l.info.Defs[name]
@@ -310,7 +313,22 @@ func newResolver(l *loader, cg *callGraph, ann *annotations, report func(token.P
 		res.classes = append(res.classes, class)
 	}
 	sort.Strings(res.classes)
+	res.checkDeclarations()
+	res.resolveRequires()
 	return res
+}
+
+// entry returns the classes held when ctx starts running: its
+// //act:requires classes, or nothing for a goroutine body.
+func (res *resolver) entry(ctx *funcContext) map[string]bool {
+	if ctx.obj == nil {
+		return nil
+	}
+	return res.requires[ctx.obj]
+}
+
+func (res *resolver) report(pos token.Pos, format string, args ...any) {
+	res.diags = append(res.diags, diagnostic{pos: res.l.position(pos), analyzer: "lockorder", msg: fmt.Sprintf(format, args...)})
 }
 
 // checkDeclarations enforces the class vocabulary: every mutex field
@@ -370,10 +388,9 @@ func (res *resolver) resolveIn(si *structInfo, name string) (class, errMsg strin
 	return "", fmt.Sprintf("%q names no lock class and no unique mutex field in the module", name)
 }
 
-// requiresClasses resolves every //act:requires annotation: the receiver
+// resolveRequires resolves every //act:requires annotation: the receiver
 // struct's fields first, then the module-wide vocabulary.
-func (res *resolver) requiresClasses() map[types.Object]map[string]bool {
-	out := map[types.Object]map[string]bool{}
+func (res *resolver) resolveRequires() {
 	for obj, names := range res.ann.requires {
 		if obj == nil {
 			continue
@@ -390,13 +407,12 @@ func (res *resolver) requiresClasses() map[types.Object]map[string]bool {
 				res.report(obj.Pos(), "//act:requires %s on %s: %s", name, obj.Name(), err)
 				continue
 			}
-			if out[obj] == nil {
-				out[obj] = map[string]bool{}
+			if res.requires[obj] == nil {
+				res.requires[obj] = map[string]bool{}
 			}
-			out[obj][class] = true
+			res.requires[obj][class] = true
 		}
 	}
-	return out
 }
 
 // structByType finds the structInfo of a (possibly pointer-to) named
@@ -575,4 +591,83 @@ func proseCheck(l *loader, ann *annotations) []diagnostic {
 		}
 	}
 	return diags
+}
+
+// leakCheck flags an exported method returning guarded reference-typed
+// state, or the address of any guarded field.
+func leakCheck(l *loader, ann *annotations, fd *ast.FuncDecl) []diagnostic {
+	if fd.Recv == nil || !token.IsExported(fd.Name.Name) {
+		return nil
+	}
+	var diags []diagnostic
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok {
+			return false // keep to the returns of the method itself
+		}
+		ret, ok := n.(*ast.ReturnStmt)
+		if !ok {
+			return true
+		}
+		for _, r := range ret.Results {
+			e, addr := unparen(r), false
+			if ue, ok := e.(*ast.UnaryExpr); ok && ue.Op == token.AND {
+				e, addr = unparen(ue.X), true
+			}
+			sel, ok := e.(*ast.SelectorExpr)
+			if !ok {
+				continue
+			}
+			fld := l.fieldOf(sel)
+			if fld == nil {
+				continue
+			}
+			if _, guarded := ann.guarded[fld]; !guarded || !(addr || sharesStorage(fld.Type())) {
+				continue
+			}
+			diags = append(diags, diagnostic{
+				pos:      l.position(r.Pos()),
+				analyzer: "lockorder",
+				msg: fmt.Sprintf("exported method %s returns guarded field %s — interior pointer into writer state",
+					fd.Name.Name, fld.Name()),
+			})
+		}
+		return true
+	})
+	return diags
+}
+
+// sharesStorage reports whether values of type t alias underlying storage
+// when copied (so returning the field hands out an interior pointer).
+func sharesStorage(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Slice, *types.Map, *types.Pointer, *types.Chan, *types.Signature, *types.Interface:
+		return true
+	}
+	return false
+}
+
+// fieldOwner names the struct type declaring a field, for diagnostics.
+func fieldOwner(fld *types.Var) string {
+	if fld.Pkg() == nil {
+		return "?"
+	}
+	// Walk the package scope for the named type whose underlying struct
+	// contains the field.
+	scope := fld.Pkg().Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if st.Field(i) == fld {
+				return tn.Name()
+			}
+		}
+	}
+	return "?"
 }

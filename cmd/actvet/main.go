@@ -5,30 +5,15 @@
 // is never written through, hot probe loops stay allocation-free, and the
 // published-snapshot pointer is swapped only by the publish machinery. Those
 // rules are declared in the source as machine-readable //act: annotations
-// (see docs/ANNOTATIONS.md), and actvet checks them with thirteen analyzers.
+// (see docs/ANNOTATIONS.md), and actvet checks them with ten analyzers.
 //
 // Per-function checks:
 //
-//   - lockcheck: fields annotated //act:guarded <mu> may only be accessed
-//     from functions that acquire the mutex (<recv>.<mu>.Lock() in the body)
-//     or are annotated //act:requires <mu> (they run with it held). Calls to
-//     //act:requires functions are checked the same way; goroutine bodies do
-//     not inherit the caller's locks; //act:exclusive exempts constructors
-//     that own a fresh, unshared value.
 //   - frozencheck: values originating from //act:frozen functions or fields
 //     (frozen snapshot state, shared between publishes) must never be
 //     written through: no element assignment, no append, no copy-into, no
 //     passing to an //act:mutates function. //act:freezer exempts the freeze
 //     machinery itself.
-//   - hotpath: functions annotated //act:hotpath (probe loops, cell id
-//     conversion, rope splicing) must not allocate maps, build closures that
-//     capture mutated variables by reference, convert concrete values to
-//     interfaces, or append to locally declared slices without preallocated
-//     capacity.
-//   - publishcheck: Store/Swap on a field annotated //act:published (the
-//     snapshot pointer) may only appear in //act:publisher functions, and
-//     exported methods of a type with guarded fields must not return
-//     pointers, slices or maps taken directly from that guarded state.
 //   - doccheck: every package has a package comment and every exported
 //     symbol a doc comment starting with its name.
 //   - gocheck: every go statement launches a function that installs a
@@ -42,21 +27,28 @@
 // Whole-program checks, over a go/types-resolved call graph of the module:
 //
 //   - lockorder: every mutex field declares a module-unique //act:lock
-//     class; double acquisition (directly or through calls), lock-order
-//     cycles, prose lock comments without a directive, and guarded state
-//     reachable from an unlocked entry point are reported.
+//     class, and //act:guarded fields and //act:requires functions are
+//     reached only with their class held (goroutines inherit no locks;
+//     //act:exclusive exempts constructors of fresh values); double
+//     acquisition (directly or through calls), lock-order cycles, prose
+//     lock comments without a directive, and exported methods returning
+//     interior pointers into guarded state are reported.
 //   - snapcheck: two fresh snapshots in one batch (torn view), *Snapshot
 //     stored into a field without //act:pinned, and goroutines capturing
 //     storage aliased from guarded fields.
-//   - allocbound: //act:hotpath and //act:noalloc functions are verified
-//     allocation-free against `go build -gcflags=-m=2` escape analysis,
-//     with //act:allow-alloc <reason> site suppressions, and must each be
-//     covered by a testing.AllocsPerRun case declared with an
-//     //act:alloc-harness marker.
+//   - allocbound: //act:hotpath functions are verified allocation-free
+//     against `go build -gcflags=-m=2` escape analysis plus two
+//     container-growth rules the transcript cannot see (map allocation,
+//     append to a capacity-less local slice), with //act:allow-alloc
+//     <reason> site suppressions, and must each be covered by a
+//     testing.AllocsPerRun case declared with an //act:alloc-harness
+//     marker.
 //   - atomcheck: every sync/atomic-typed struct field carries //act:atomic;
 //     //act:atomic fields are never touched outside sync/atomic, never
 //     copied by value, and load-then-store read-modify-write sequences run
-//     under a held lock class or a CompareAndSwap loop.
+//     under a held lock class or a CompareAndSwap loop; Store/Swap on the
+//     //act:published snapshot pointer appear only in //act:publisher
+//     functions.
 //   - seqcheck: an //act:seqlock <class> generation field follows the
 //     seqlock protocol — writers bump odd/even in paired Add(1)s (the
 //     restore deferred, so a panic exit cannot strand readers on an odd
@@ -69,18 +61,16 @@
 //
 // Usage:
 //
-//	actvet [-allocharness] [-json] [-faultregistry] [packages]
+//	actvet [-allocharness] [-json] [packages]
 //
 // Packages are directories or "dir/..." patterns relative to the current
 // module; with no arguments it vets "./...". -allocharness prints
 // AllocsPerRun skeletons for annotated functions that lack a harness case
 // instead of vetting; -json reports diagnostics as a JSON array of
 // {file,line,col,analyzer,message} objects (file relative to the module
-// root) for machine consumption; -faultregistry prints the live
-// injection-point list, one point value per line, for the CI drift gate
-// against the documentation table. The analyzers use only stdlib packages (go/parser,
-// go/ast, go/types); imports — including the standard library — are
-// type-checked from source, so the tool runs in the build image with no
+// root) for machine consumption. The analyzers use only stdlib packages
+// (go/parser, go/ast, go/types); imports — including the standard library —
+// are type-checked from source, so the tool runs in the build image with no
 // installed toolchain artifacts (allocbound additionally shells out to
 // `go build` for the compiler's escape transcript). Exit status is 1 when
 // any diagnostic is reported, 2 on load or usage errors.
@@ -90,8 +80,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/constant"
-	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -99,9 +87,8 @@ import (
 )
 
 func main() {
-	harness := flag.Bool("allocharness", false, "print AllocsPerRun skeletons for uncovered //act:hotpath///act:noalloc functions")
+	harness := flag.Bool("allocharness", false, "print AllocsPerRun skeletons for uncovered //act:hotpath functions")
 	jsonOut := flag.Bool("json", false, "report diagnostics as a JSON array of {file,line,col,analyzer,message} objects")
-	registry := flag.Bool("faultregistry", false, "print the live injection-point list, one point value per line")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -120,22 +107,6 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Print(out)
-		return
-	}
-	if *registry {
-		l, _, err := loadPatterns(".", args)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "actvet: %v\n", err)
-			os.Exit(2)
-		}
-		points, err := faultRegistry(l)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "actvet: %v\n", err)
-			os.Exit(2)
-		}
-		for _, pt := range points {
-			fmt.Println(pt)
-		}
 		return
 	}
 	diags, err := vet(".", args)
@@ -186,30 +157,6 @@ func jsonDiags(diags []diagnostic, modRoot string) []jsonDiag {
 	return out
 }
 
-// faultRegistry returns the module's declared injection-point values,
-// sorted, for the CI drift gate against the documentation table.
-func faultRegistry(l *loader) ([]string, error) {
-	fp := findFaultPkg(l)
-	if fp == nil {
-		return nil, fmt.Errorf("no fault package (a local package named fault exporting Point, Hit and MustHit) in the load")
-	}
-	var points []string
-	scope := fp.pkg.Scope()
-	for _, name := range scope.Names() {
-		c, ok := scope.Lookup(name).(*types.Const)
-		if !ok {
-			continue
-		}
-		named, ok := c.Type().(*types.Named)
-		if !ok || named.Obj().Name() != "Point" || named.Obj().Pkg() != fp.pkg {
-			continue
-		}
-		points = append(points, constant.StringVal(c.Val()))
-	}
-	sort.Strings(points)
-	return points, nil
-}
-
 // loadPatterns loads the packages matched by patterns into a fresh loader.
 func loadPatterns(cwd string, patterns []string) (*loader, []*pkgData, error) {
 	modRoot, modPath, err := findModule(cwd)
@@ -247,23 +194,19 @@ func vet(cwd string, patterns []string) ([]diagnostic, error) {
 		return nil, err
 	}
 
-	ann, annDiags := collectAnnotations(l)
+	ann, diags := collectAnnotations(l)
 	cg := buildCallGraph(l, ann)
-	var diags []diagnostic
-	diags = append(diags, annDiags...)
+	res := newResolver(l, ann)
 	for _, p := range pkgs {
-		diags = append(diags, lockcheck(l, p, ann)...)
 		diags = append(diags, frozencheck(l, p, ann)...)
-		diags = append(diags, hotpath(l, p, ann)...)
-		diags = append(diags, publishcheck(l, p, ann)...)
 		diags = append(diags, doccheck(l, p, ann)...)
 		diags = append(diags, gocheck(l, p, ann)...)
 		diags = append(diags, errcheck(l, p, ann)...)
 	}
-	diags = append(diags, lockorder(l, cg, ann)...)
+	diags = append(diags, lockorder(l, cg, ann, res)...)
 	diags = append(diags, snapcheck(l, cg, ann)...)
-	diags = append(diags, atomcheck(l, cg, ann)...)
-	diags = append(diags, seqcheck(l, cg, ann)...)
+	diags = append(diags, atomcheck(l, cg, ann, res)...)
+	diags = append(diags, seqcheck(l, cg, ann, res)...)
 	diags = append(diags, faultcov(l, cg, ann)...)
 	ab, err := allocbound(l, cg, ann)
 	if err != nil {

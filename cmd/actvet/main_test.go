@@ -10,11 +10,15 @@ import (
 
 // Fixture packages live under testdata/src/<analyzer>/{bad,good}. Each is
 // loaded as its own module root and run through the analyzer named by its
-// parent directory (plus annotation validation, which always runs);
+// parent directory (plus annotation validation, which always runs). The
+// lockcheck, hotpath and publishcheck directories keep the cases of
+// analyzers that were folded into others and run through the analyzers
+// that now hold those rules (see absorbedBy);
 // expectations are "// want" comments carrying a backquoted regexp on the
 // violating line, in the style of go/analysis golden tests. A "good"
 // package simply carries no want comments, so any diagnostic fails the
-// test.
+// test; a "bad" package must carry at least one, so a fixture cannot pass
+// vacuously.
 func TestFixtures(t *testing.T) {
 	dirs, err := filepath.Glob(filepath.Join("testdata", "src", "*", "*"))
 	if err != nil {
@@ -31,6 +35,14 @@ func TestFixtures(t *testing.T) {
 
 var wantRE = regexp.MustCompile("// want `([^`]+)`")
 
+// absorbedBy maps the fixture directory of a retired analyzer to the
+// analyzers that now report its rules.
+var absorbedBy = map[string][]string{
+	"lockcheck":    {"lockorder"},
+	"hotpath":      {"allocbound"},
+	"publishcheck": {"atomcheck", "lockorder"},
+}
+
 func runFixture(t *testing.T, dir string) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -46,40 +58,40 @@ func runFixture(t *testing.T, dir string) {
 	}
 
 	ann, diags := collectAnnotations(l)
-	analyzer := filepath.Base(filepath.Dir(dir))
-	switch analyzer {
-	case "lockcheck":
-		diags = append(diags, lockcheck(l, p, ann)...)
-	case "frozencheck":
-		diags = append(diags, frozencheck(l, p, ann)...)
-	case "hotpath":
-		diags = append(diags, hotpath(l, p, ann)...)
-	case "publishcheck":
-		diags = append(diags, publishcheck(l, p, ann)...)
-	case "doccheck":
-		diags = append(diags, doccheck(l, p, ann)...)
-	case "gocheck":
-		diags = append(diags, gocheck(l, p, ann)...)
-	case "errcheck":
-		diags = append(diags, errcheck(l, p, ann)...)
-	case "atomcheck":
-		diags = append(diags, atomcheck(l, buildCallGraph(l, ann), ann)...)
-	case "seqcheck":
-		diags = append(diags, seqcheck(l, buildCallGraph(l, ann), ann)...)
-	case "faultcov":
-		diags = append(diags, faultcov(l, buildCallGraph(l, ann), ann)...)
-	case "lockorder":
-		diags = append(diags, lockorder(l, buildCallGraph(l, ann), ann)...)
-	case "snapcheck":
-		diags = append(diags, snapcheck(l, buildCallGraph(l, ann), ann)...)
-	case "allocbound":
-		ab, err := allocbound(l, buildCallGraph(l, ann), ann)
-		if err != nil {
-			t.Fatalf("allocbound over %s: %v", dir, err)
+	cg, res := buildCallGraph(l, ann), newResolver(l, ann)
+	analyzers := []string{filepath.Base(filepath.Dir(dir))}
+	if to, ok := absorbedBy[analyzers[0]]; ok {
+		analyzers = to
+	}
+	for _, analyzer := range analyzers {
+		switch analyzer {
+		case "frozencheck":
+			diags = append(diags, frozencheck(l, p, ann)...)
+		case "doccheck":
+			diags = append(diags, doccheck(l, p, ann)...)
+		case "gocheck":
+			diags = append(diags, gocheck(l, p, ann)...)
+		case "errcheck":
+			diags = append(diags, errcheck(l, p, ann)...)
+		case "atomcheck":
+			diags = append(diags, atomcheck(l, cg, ann, res)...)
+		case "seqcheck":
+			diags = append(diags, seqcheck(l, cg, ann, res)...)
+		case "faultcov":
+			diags = append(diags, faultcov(l, cg, ann)...)
+		case "lockorder":
+			diags = append(diags, lockorder(l, cg, ann, res)...)
+		case "snapcheck":
+			diags = append(diags, snapcheck(l, cg, ann)...)
+		case "allocbound":
+			ab, err := allocbound(l, cg, ann)
+			if err != nil {
+				t.Fatalf("allocbound over %s: %v", dir, err)
+			}
+			diags = append(diags, ab...)
+		default:
+			t.Fatalf("fixture directory %s names no analyzer", dir)
 		}
-		diags = append(diags, ab...)
-	default:
-		t.Fatalf("fixture directory %s names no analyzer", dir)
 	}
 
 	type want struct {
@@ -111,6 +123,10 @@ func runFixture(t *testing.T, dir string) {
 				wants = append(wants, &want{line: l.position(c.Pos()).Line, re: re})
 			}
 		}
+	}
+
+	if filepath.Base(dir) == "bad" && len(wants) == 0 {
+		t.Errorf("%s: a bad fixture must carry at least one // want expectation", dir)
 	}
 
 	for _, d := range diags {

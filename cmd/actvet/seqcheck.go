@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 )
@@ -31,14 +30,13 @@ import (
 // Reader diagnostics, per context with unlocked loads: a single load (no
 // stability re-check), no odd-test (g&1) of the loaded value, or no
 // re-comparison against a second load.
-func seqcheck(l *loader, cg *callGraph, ann *annotations) []diagnostic {
+func seqcheck(l *loader, cg *callGraph, ann *annotations, res *resolver) []diagnostic {
 	var diags []diagnostic
 	if len(ann.seqlock) == 0 {
 		return nil
 	}
-	classes := requiresResolver(ann)
 	for fld, class := range ann.seqlock {
-		if !classes.classes[class] {
+		if len(res.byClass[class]) == 0 {
 			diags = append(diags, diagnostic{
 				pos:      l.position(fld.Pos()),
 				analyzer: "seqcheck",
@@ -47,7 +45,7 @@ func seqcheck(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 			continue
 		}
 		for _, ctx := range cg.contexts {
-			diags = append(diags, seqcheckContext(l, ctx, classes, fld, class)...)
+			diags = append(diags, seqcheckContext(l, ctx, res.entry(ctx), fld, class)...)
 		}
 	}
 	return diags
@@ -55,7 +53,7 @@ func seqcheck(l *loader, cg *callGraph, ann *annotations) []diagnostic {
 
 // seqcheckContext applies the writer or reader rules to one context's
 // operations on the seqlock field.
-func seqcheckContext(l *loader, ctx *funcContext, classes *classResolver, fld types.Object, class string) []diagnostic {
+func seqcheckContext(l *loader, ctx *funcContext, entry map[string]bool, fld types.Object, class string) []diagnostic {
 	var ops []atomicOp
 	for _, op := range ctx.atomics {
 		if op.field == fld {
@@ -71,7 +69,6 @@ func seqcheckContext(l *loader, ctx *funcContext, classes *classResolver, fld ty
 			writer = true
 		}
 	}
-	entry := classes.entryOf(ctx.obj)
 	if writer {
 		return seqcheckWriter(l, ctx, entry, ops, fld, class)
 	}
@@ -104,7 +101,7 @@ func seqcheckWriter(l *loader, ctx *funcContext, entry map[string]bool, ops []at
 		}
 		plain++
 		lastPlain = op.pos
-		if !heldExclusiveAt(ctx, entry, class, op.pos) {
+		if !heldAt(ctx, entry, class, op.pos, true) {
 			diag(op.pos, "seqlock writer bumps %s without holding lock class %s exclusively: "+
 				"two concurrent writers tear the parity protocol", fld.Name(), class)
 		}
@@ -121,7 +118,7 @@ func seqcheckWriter(l *loader, ctx *funcContext, entry map[string]bool, ops []at
 func seqcheckReader(l *loader, ctx *funcContext, entry map[string]bool, ops []atomicOp, fld types.Object, class string) []diagnostic {
 	var unlocked []atomicOp
 	for _, op := range ops {
-		if !heldAt(ctx, entry, class, op.pos) {
+		if !heldAt(ctx, entry, class, op.pos, false) {
 			unlocked = append(unlocked, op)
 		}
 	}
@@ -169,36 +166,6 @@ func seqcheckReader(l *loader, ctx *funcContext, entry map[string]bool, ops []at
 		diag(unlocked[0].pos, "seqlock reader never re-compares a fresh %s.Load() against its first read: a torn gather goes undetected", fld.Name())
 	}
 	return diags
-}
-
-// heldExclusiveAt is heldAt restricted to exclusive acquisitions: an RLock
-// does not make a writer, and only a non-deferred Unlock of the exclusive
-// hold releases it.
-func heldExclusiveAt(ctx *funcContext, entry map[string]bool, class string, pos token.Pos) bool {
-	held := entry[class]
-	for _, e := range ctx.events {
-		if e.pos >= pos || e.class != class || e.rlock {
-			continue
-		}
-		if e.unlock {
-			if !e.deferred {
-				held = false
-			}
-		} else {
-			held = true
-		}
-	}
-	return held
-}
-
-// isConstOne reports whether e is the constant 1.
-func isConstOne(l *loader, e ast.Expr) bool {
-	tv, ok := l.info.Types[e]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	v, ok := constant.Uint64Val(tv.Value)
-	return ok && v == 1
 }
 
 // isLoadOf reports whether e is a direct <x>.<fld>.Load() call (or the

@@ -361,3 +361,25 @@ func guardedCaptureWalk(l *loader, ann *annotations, fd *ast.FuncDecl) []diagnos
 	})
 	return diags
 }
+
+// capturedObjects returns the variable objects a function literal references
+// that are declared outside it (free variables).
+func capturedObjects(l *loader, lit *ast.FuncLit, encl *ast.FuncDecl) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		id, ok := n.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj, ok := l.info.Uses[id].(*types.Var)
+		if !ok || obj.IsField() || obj.Pkg() == nil {
+			return true
+		}
+		// Declared outside the literal but inside the enclosing declaration.
+		if obj.Pos() < lit.Pos() && obj.Pos() > encl.Pos() {
+			out[obj] = true
+		}
+		return true
+	})
+	return out
+}

@@ -9,9 +9,9 @@ type big struct {
 // escape returns a pointer to a local: the classic escape. It also has
 // no AllocsPerRun coverage.
 //
-//act:noalloc
-func escape() *big { // want `//act:noalloc function escape has no AllocsPerRun harness`
-	return &big{} // want `heap allocation in //act:noalloc function escape`
+//act:hotpath
+func escape() *big { // want `//act:hotpath function escape has no AllocsPerRun harness`
+	return &big{} // want `heap allocation in //act:hotpath function escape`
 }
 
 // sink keeps store's local alive beyond the call.

@@ -3,7 +3,7 @@ package good
 
 // sum is a pure reduction: nothing escapes.
 //
-//act:noalloc
+//act:hotpath
 func sum(xs []int) int {
 	t := 0
 	for _, x := range xs {
@@ -14,7 +14,7 @@ func sum(xs []int) int {
 
 // grow allocates deliberately, with the reason on record.
 //
-//act:noalloc
+//act:hotpath
 func grow(n int) []int {
 	//act:allow-alloc cold resize path, amortized by the caller
 	return make([]int, n)

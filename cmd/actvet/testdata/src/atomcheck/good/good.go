@@ -1,7 +1,7 @@
 // Package fixture shows the shapes atomcheck accepts: declared atomic
 // fields operated through their methods, a legacy word reached only via
-// sync/atomic, single-op RMWs, a CAS loop, and a lock-protected
-// load-then-store.
+// sync/atomic, single-op RMWs, a CAS loop, and lock-protected
+// load-then-stores.
 package fixture
 
 import (
@@ -44,4 +44,21 @@ func (c *counter) reset() {
 	if c.hits.Load() > 0 {
 		c.hits.Store(0)
 	}
+}
+
+// gauge also names its mutex mu. A //act:requires mu on its methods means
+// gauge's own mu (class gaugemu), not counter's: the name resolves against
+// the receiver struct first.
+type gauge struct {
+	level atomic.Int64 //act:atomic
+	mu    sync.Mutex   //act:lock gaugemu
+}
+
+// raise runs with the gauge's lock held by contract, so the load and the
+// store cannot be interleaved by another locked writer.
+//
+//act:requires mu
+func (g *gauge) raise(by int64) {
+	v := g.level.Load()
+	g.level.Store(v + by)
 }

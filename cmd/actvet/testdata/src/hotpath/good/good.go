@@ -1,8 +1,9 @@
-// Package good holds the allocation-free idioms hotpath must accept.
+// Package good holds the allocation-free hot-path idioms allocbound must
+// accept.
 package good
 
 // search mimics the sort.Search idiom: the closure captures xs and target
-// read-only, which does not force an escape.
+// read-only and does not escape.
 //
 //act:hotpath
 func search(xs []int, target int) int {
@@ -18,16 +19,43 @@ func find(n int, f func(int) bool) int {
 	return n
 }
 
-// Appending into a preallocated or caller-owned slice is the amortized-reuse
-// idiom hot loops are built on.
+// closureCapture mutates a captured variable, but the closure never
+// escapes, so nothing moves to the heap (0 allocs/run).
 //
 //act:hotpath
-func appendPrealloc(n int) []int {
-	out := make([]int, 0, n)
-	for i := 0; i < n; i++ {
+func closureCapture() int {
+	total := 0
+	fn := func() { total++ }
+	fn()
+	return total
+}
+
+type sized interface{ Len() int }
+
+type box struct{}
+
+func (box) Len() int { return 0 }
+
+func use(s sized) int { return s.Len() }
+
+// convertArg boxes a value into an interface argument that does not
+// escape (0 allocs/run).
+//
+//act:hotpath
+func convertArg() int {
+	return use(box{})
+}
+
+// Appending into capacity made up front, or into a caller-owned slice, is
+// the amortized-reuse idiom hot loops are built on.
+//
+//act:hotpath
+func appendPrealloc() int {
+	out := make([]int, 0, 4)
+	for i := 0; i < 4; i++ {
 		out = append(out, i)
 	}
-	return out
+	return len(out)
 }
 
 //act:hotpath

@@ -1,17 +1,17 @@
-// Package good holds the locking idioms lockcheck must accept.
+// Package good holds the locking idioms lockorder must accept.
 package good
 
 import "sync"
 
 type counter struct {
-	mu sync.Mutex
-	n  int //act:guarded mu
+	mu sync.Mutex //act:lock cmu
+	n  int        //act:guarded mu
 }
 
 //act:requires mu
 func (c *counter) bump() { c.n++ }
 
-// Lock-at-top with deferred unlock, plus a requires-annotated helper call.
+// Add locks at the top with a deferred unlock and calls the helper.
 func (c *counter) Add() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -19,14 +19,14 @@ func (c *counter) Add() {
 	c.n++
 }
 
-// A deferred closure runs under the caller's locks and inherits them.
+// AddDeferred runs a deferred closure under the caller's lock.
 func (c *counter) AddDeferred() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	defer func() { c.n++ }()
 }
 
-// A goroutine body starts lock-free but may acquire the mutex itself.
+// AddAsync starts a goroutine that acquires the mutex itself.
 func (c *counter) AddAsync() {
 	go func() {
 		c.mu.Lock()
@@ -35,7 +35,7 @@ func (c *counter) AddAsync() {
 	}()
 }
 
-// Constructors own a fresh, unshared value; no locking applies yet.
+// newCounter owns a fresh, unshared value; no locking applies yet.
 //
 //act:exclusive
 func newCounter() *counter {

@@ -1,4 +1,5 @@
-// Package good holds the publish idioms publishcheck must accept.
+// Package good holds the publish idioms atomcheck and lockorder must
+// accept.
 package good
 
 import (
@@ -9,21 +10,24 @@ import (
 type snap struct{ v int }
 
 type index struct {
-	mu sync.Mutex
+	mu sync.Mutex //act:lock ixmu
 
 	//act:published
+	//act:atomic
 	cur atomic.Pointer[snap]
 
 	buf []int //act:guarded mu
 	n   int   //act:guarded mu
 }
 
+// publish is the sanctioned swap site.
+//
 //act:requires mu
 //act:publisher
 func (ix *index) publish(s *snap) { ix.cur.Store(s) }
 
-// The landing goroutine inherits the publisher annotation from its
-// declaration, mirroring the compactor's landing path.
+// land swaps from a goroutine, which inherits the publisher annotation of
+// its declaration (the compactor's landing path).
 //
 //act:publisher
 func (ix *index) land(s *snap) {
@@ -34,14 +38,14 @@ func (ix *index) land(s *snap) {
 	}()
 }
 
-// Returning a value copy of guarded state never leaks an interior pointer.
+// Len returns a value copy of guarded state, never an interior pointer.
 func (ix *index) Len() int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	return ix.n
 }
 
-// Returning a fresh copy is the sanctioned accessor shape for slices.
+// BufCopy returns a fresh copy: the sanctioned accessor shape for slices.
 func (ix *index) BufCopy() []int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()

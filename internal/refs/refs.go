@@ -242,7 +242,7 @@ func (t *Table) AppendRefs(dst []Ref, e Entry) []Ref {
 
 // Visit calls fn for each reference in the entry without allocating.
 //
-//act:noalloc
+//act:hotpath
 func (t *Table) Visit(e Entry, fn func(Ref)) {
 	switch e.Tag() {
 	case TagPointer:

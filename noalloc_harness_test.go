@@ -23,7 +23,7 @@ func testAllocs(t *testing.T, name string, f func()) {
 }
 
 // TestNoAllocHarness is allocbound's dynamic cross-check for this package:
-// every //act:hotpath and //act:noalloc function below runs under
+// every //act:hotpath function below runs under
 // testing.AllocsPerRun against pre-built inputs. The //act:alloc-harness
 // markers are what `actvet` matches against the annotated functions.
 func TestNoAllocHarness(t *testing.T) {
