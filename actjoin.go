@@ -435,7 +435,7 @@ func toProbeParallel(points []Point, threads int, needPts bool) ([]geom.Point, [
 		threads = runtime.GOMAXPROCS(0)
 	}
 	if chunks := n / 4096; threads > chunks {
-		threads = chunks // conversion is ~100ns/point; don't spawn for less
+		threads = chunks // conversion is ~20ns/point; don't spawn for less
 	}
 	bufs, _ := probeBufPool.Get().(*probeBufs)
 	if bufs == nil {
@@ -459,13 +459,11 @@ func toProbeParallel(points []Point, threads int, needPts bool) ([]geom.Point, [
 	}
 	release := func() { probeBufPool.Put(bufs) }
 	convert := func(begin, end int) {
-		for i := begin; i < end; i++ {
-			gp := geom.Point{X: points[i].Lon, Y: points[i].Lat}
-			if needPts {
-				pts[i] = gp
-			}
-			cells[i] = cellid.FromPoint(gp)
+		var sub []geom.Point
+		if needPts {
+			sub = pts[begin:end]
 		}
+		toCells(cells[begin:end], sub, points[begin:end])
 	}
 	if threads <= 1 {
 		convert(0, n)
@@ -487,6 +485,24 @@ func toProbeParallel(points []Point, threads int, needPts bool) ([]geom.Point, [
 	}
 	wg.Wait()
 	return pts, cells, release
+}
+
+// toCells converts points to leaf cell ids through cellid's slice kernel,
+// staging each chunk of geometry points in pts when the caller keeps them
+// (pts non-nil, as long as points) and in a stack buffer otherwise.
+func toCells(cells []cellid.CellID, pts []geom.Point, points []Point) {
+	var buf [256]geom.Point
+	for lo := 0; lo < len(points); lo += len(buf) {
+		hi := min(lo+len(buf), len(points))
+		stage := buf[:hi-lo]
+		if pts != nil {
+			stage = pts[lo:hi]
+		}
+		for k := range stage {
+			stage[k] = geom.Point{X: points[lo+k].Lon, Y: points[lo+k].Lat}
+		}
+		cellid.FromPoints(cells[lo:hi], stage)
+	}
 }
 
 func toJoinResult(res join.Result) JoinResult {

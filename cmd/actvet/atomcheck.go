@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 )
 
 // atomcheck enforces the atomics discipline across the module:
@@ -196,6 +197,9 @@ func atomcheckUses(l *loader, ann *annotations, f *ast.File, tracked map[types.O
 // context: the classic lost-update shape. The sequence is accepted when the
 // context also drives a CompareAndSwap on the field (a CAS loop re-validates
 // the read) or when some lock class is held at both the load and the store.
+// Operations are taken in the order they complete (by closing parenthesis),
+// so a Load nested in a Store's argument — f.Store(f.Load()+1) — counts as
+// running first.
 func atomcheckRMW(l *loader, cg *callGraph, res *resolver) []diagnostic {
 	var diags []diagnostic
 	for _, ctx := range cg.contexts {
@@ -204,6 +208,7 @@ func atomcheckRMW(l *loader, cg *callGraph, res *resolver) []diagnostic {
 			byField[op.field] = append(byField[op.field], op)
 		}
 		for fld, ops := range byField {
+			sort.Slice(ops, func(i, j int) bool { return ops[i].end < ops[j].end })
 			cas := false
 			for _, op := range ops {
 				if op.op == "CompareAndSwap" {

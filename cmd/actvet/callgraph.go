@@ -53,7 +53,8 @@ type atomicOp struct {
 	field    types.Object
 	op       string // Load, Store, Add, Swap, CompareAndSwap, ...
 	pos      token.Pos
-	argOne   bool // for Add: the delta is the constant 1
+	end      token.Pos // the call's closing parenthesis: when it has run
+	argOne   bool      // for Add: the delta is the constant 1
 	deferred bool
 }
 
@@ -245,7 +246,7 @@ func atomicOpOf(l *loader, ann *annotations, call *ast.CallExpr) (atomicOp, bool
 	if inner, ok := unparen(sel.X).(*ast.SelectorExpr); ok {
 		if fld := l.fieldOf(inner); fld != nil && isAtomicType(fld.Type()) && atomicTracked(ann, fld) {
 			if op, ok := atomicOpName(sel.Sel.Name); ok {
-				return atomicOp{field: fld, op: op, pos: call.Pos(), argOne: op == "Add" && len(call.Args) > 0 && isConstOne(l, call.Args[0])}, true
+				return atomicOp{field: fld, op: op, pos: call.Pos(), end: call.Rparen, argOne: op == "Add" && len(call.Args) > 0 && isConstOne(l, call.Args[0])}, true
 			}
 		}
 	}
@@ -255,7 +256,7 @@ func atomicOpOf(l *loader, ann *annotations, call *ast.CallExpr) (atomicOp, bool
 			if ue, isAddr := unparen(call.Args[0]).(*ast.UnaryExpr); isAddr && ue.Op == token.AND {
 				if fsel, ok := unparen(ue.X).(*ast.SelectorExpr); ok {
 					if fld := l.fieldOf(fsel); atomicTracked(ann, fld) {
-						return atomicOp{field: fld, op: op, pos: call.Pos(), argOne: op == "Add" && len(call.Args) > 1 && isConstOne(l, call.Args[1])}, true
+						return atomicOp{field: fld, op: op, pos: call.Pos(), end: call.Rparen, argOne: op == "Add" && len(call.Args) > 1 && isConstOne(l, call.Args[1])}, true
 					}
 				}
 			}

@@ -47,3 +47,9 @@ func (c *counter) lostUpdate() {
 	v := c.hits.Load()
 	c.hits.Store(v + 1) // want `load-then-store on atomic field hits is a racy read-modify-write`
 }
+
+// bumpInline is the same lost update in one expression: the nested Load
+// completes before the Store that encloses it.
+func (c *counter) bumpInline() {
+	c.hits.Store(c.hits.Load() + 1) // want `load-then-store on atomic field hits is a racy read-modify-write`
+}

@@ -64,11 +64,17 @@ var posToOrient = [4]uint32{swapMask, 0, 0, invertMask | swapMask}
 
 var ijToPos [4][4]uint32
 
-// lookupPos accelerates leaf encoding by consuming four quadtree levels per
-// step (the S2 lookup-table technique): index = i4<<6 | j4<<2 | orient
-// (four interleaved (i, j) bit pairs plus the incoming orientation), value =
-// pos8<<2 | outgoing orientation.
-var lookupPos [1 << 10]uint32
+// lookupLevels is the number of quadtree levels one hilbert6 step encodes;
+// MaxLevel is a multiple of it, so a leaf takes MaxLevel/lookupLevels steps.
+const lookupLevels = 6
+
+// hilbert6 accelerates leaf encoding by consuming six quadtree levels per
+// lookup (the S2 lookup-table technique, widened): index = i6<<8 | j6<<2 |
+// orient (the six-bit (i, j) digits of one step plus the incoming
+// orientation), value = pos12<<2 | outgoing orientation. The 2^14 uint16
+// entries (32 KiB) stay L1-resident across a probe batch, and a leaf costs
+// five dependent lookups.
+var hilbert6 [1 << (2*lookupLevels + 2)]uint16
 
 func init() {
 	for orient := 0; orient < 4; orient++ {
@@ -76,31 +82,39 @@ func init() {
 			ijToPos[orient][posToIJ[orient][pos]] = uint32(pos)
 		}
 	}
-	for i4 := 0; i4 < 16; i4++ {
-		for j4 := 0; j4 < 16; j4++ {
+	for i6 := 0; i6 < 1<<lookupLevels; i6++ {
+		for j6 := 0; j6 < 1<<lookupLevels; j6++ {
 			for orient := uint32(0); orient < 4; orient++ {
 				var pos uint32
 				o := orient
-				for k := 3; k >= 0; k-- {
-					ij := uint32((i4>>k)&1)<<1 | uint32((j4>>k)&1)
+				for k := lookupLevels - 1; k >= 0; k-- {
+					ij := uint32((i6>>k)&1)<<1 | uint32((j6>>k)&1)
 					p := ijToPos[o][ij]
 					pos = pos<<2 | p
 					o ^= posToOrient[p]
 				}
-				lookupPos[uint32(i4)<<6|uint32(j4)<<2|orient] = pos<<2 | o
+				hilbert6[uint32(i6)<<8|uint32(j6)<<2|orient] = uint16(pos<<2 | o)
 			}
 		}
 	}
 }
 
+// Every face tile spans faceWidth x faceHeight degrees; faceOrigin holds
+// each tile's minimum lon/lat corner (3 columns x 2 rows).
+const (
+	faceWidth  = 120
+	faceHeight = 90
+)
+
+var faceOrigin = [NumFaces]geom.Point{
+	{X: -180, Y: -90}, {X: -60, Y: -90}, {X: 60, Y: -90},
+	{X: -180, Y: 0}, {X: -60, Y: 0}, {X: 60, Y: 0},
+}
+
 // faceRect returns the lon/lat extent of the given face tile.
 func faceRect(face int) geom.Rect {
-	col := face % 3
-	row := face / 3
-	return geom.Rect{
-		Lo: geom.Point{X: -180 + 120*float64(col), Y: -90 + 90*float64(row)},
-		Hi: geom.Point{X: -180 + 120*float64(col+1), Y: -90 + 90*float64(row+1)},
-	}
+	lo := faceOrigin[face]
+	return geom.Rect{Lo: lo, Hi: geom.Point{X: lo.X + faceWidth, Y: lo.Y + faceHeight}}
 }
 
 // FaceRect returns the lon/lat extent of face (0..5).
@@ -109,22 +123,6 @@ func FaceRect(face int) geom.Rect {
 		panic(fmt.Sprintf("cellid: invalid face %d", face))
 	}
 	return faceRect(face)
-}
-
-// faceOf returns the face tile containing the lon/lat point, clamping
-// points on the outer world boundary into range.
-func faceOf(p geom.Point) int {
-	col := int((p.X + 180) / 120)
-	if col < 0 {
-		col = 0
-	} else if col > 2 {
-		col = 2
-	}
-	row := 0
-	if p.Y >= 0 {
-		row = 1
-	}
-	return row*3 + col
 }
 
 // FromFaceIJ assembles the cell at the given level whose leaf-grid
@@ -147,50 +145,74 @@ func FromFaceIJ(face, i, j, level int) CellID {
 }
 
 // FromPoint returns the leaf cell (level MaxLevel) containing the lon/lat
-// point p. Points outside the world rect are clamped.
+// point p. Points outside the world rect are clamped; see FromPoints for
+// the exact conversion rules.
 //
 //act:hotpath
 func FromPoint(p geom.Point) CellID {
-	face := faceOf(p)
-	fr := faceRect(face)
-	s := (p.X - fr.Lo.X) / fr.Width()
-	t := (p.Y - fr.Lo.Y) / fr.Height()
-	return fromFaceIJLeaf(face, stToIJ(s), stToIJ(t))
+	var c [1]CellID
+	FromPoints(c[:], []geom.Point{p})
+	return c[0]
 }
 
-// fromFaceIJLeaf is FromFaceIJ specialized for leaf cells — the join hot
-// path converts every probe point — consuming four quadtree levels per
-// lookupPos step instead of one.
+// FromPoints stores the leaf cell of src[k] into dst[k] for every k; dst
+// must be at least as long as src. It is the batch join's conversion
+// kernel: per point, a face pick by comparison, one subtraction and one
+// division per axis against the face-origin table, and five hilbert6
+// lookups.
+//
+// The face column is the truncation of (lon+180)/120 clamped to 0..2, the
+// row is 1 for lat >= 0, and the in-face coordinates (lon-lo)/120 and
+// (lat-lo)/90 are scaled to the leaf grid, truncated, and clamped to
+// [0, 2^MaxLevel). A quotient that is NaN, infinite or at least 2^63 —
+// anything an int64 cannot hold — counts as below range and clamps to 0
+// (column 0, grid coordinate 0), so NaN or ±Inf coordinates land in a
+// face's first column or row instead of on a platform-dependent float→int
+// conversion.
 //
 //act:hotpath
-func fromFaceIJLeaf(face, i, j int) CellID {
-	var pos uint64
-	orient := uint32(0)
-	for k := MaxLevel - 1; k >= 28; k-- { // top two levels (30 mod 4)
-		ij := uint32((i>>k)&1)<<1 | uint32((j>>k)&1)
-		p := ijToPos[orient][ij]
-		pos = pos<<2 | uint64(p)
-		orient ^= posToOrient[p]
+func FromPoints(dst []CellID, src []geom.Point) {
+	dst = dst[:len(src)]
+	for k, p := range src {
+		u := (p.X + 180) / faceWidth
+		face := 0
+		if u >= 1 && u < 1<<63 {
+			face = 1
+			if u >= 2 {
+				face = 2
+			}
+		}
+		if p.Y >= 0 {
+			face += 3
+		}
+		o := faceOrigin[face]
+		i := stToIJ((p.X - o.X) / faceWidth)
+		j := stToIJ((p.Y - o.Y) / faceHeight)
+		v := hilbert6[(i>>24&63)<<8|(j>>24&63)<<2]
+		pos := uint64(v >> 2)
+		v = hilbert6[(i>>18&63)<<8|(j>>18&63)<<2|uint32(v&3)]
+		pos = pos<<12 | uint64(v>>2)
+		v = hilbert6[(i>>12&63)<<8|(j>>12&63)<<2|uint32(v&3)]
+		pos = pos<<12 | uint64(v>>2)
+		v = hilbert6[(i>>6&63)<<8|(j>>6&63)<<2|uint32(v&3)]
+		pos = pos<<12 | uint64(v>>2)
+		v = hilbert6[(i&63)<<8|(j&63)<<2|uint32(v&3)]
+		dst[k] = CellID(uint64(face)<<posBits | (pos<<12|uint64(v>>2))<<1 | 1)
 	}
-	for shift := 24; shift >= 0; shift -= 4 { // seven 4-level chunks
-		v := lookupPos[uint32((i>>shift)&0xF)<<6|uint32((j>>shift)&0xF)<<2|orient]
-		pos = pos<<8 | uint64(v>>2)
-		orient = v & 3
-	}
-	return CellID(uint64(face)<<posBits | pos<<1 | 1)
 }
 
-// stToIJ converts a [0,1] face coordinate to a leaf-grid integer in
-// [0, 2^MaxLevel).
-func stToIJ(s float64) int {
-	v := int(math.Floor(s * (1 << MaxLevel)))
-	if v < 0 {
-		return 0
-	}
-	if v >= 1<<MaxLevel {
+// stToIJ converts a face coordinate in [0,1] to a leaf-grid integer in
+// [0, 2^MaxLevel), truncating. Out-of-range values clamp; a scaled value
+// that is NaN or does not fit an int64 clamps to 0 (see FromPoints).
+func stToIJ(s float64) uint32 {
+	v := s * (1 << MaxLevel)
+	switch {
+	case v >= 0 && v < 1<<MaxLevel:
+		return uint32(v)
+	case v >= 1<<MaxLevel && v < 1<<63:
 		return 1<<MaxLevel - 1
 	}
-	return v
+	return 0
 }
 
 // IsValid reports whether id is a well-formed cell id: valid face and a

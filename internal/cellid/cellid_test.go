@@ -399,25 +399,42 @@ func BenchmarkBound(b *testing.B) {
 	}
 }
 
+// leafCenter returns the lon/lat center of the leaf at (face, i, j): half a
+// leaf (~1e-7°) from every edge, far beyond the float rounding of the
+// conversion, so the kernel must map it back to exactly that leaf.
+func leafCenter(face, i, j int) geom.Point {
+	o := faceOrigin[face]
+	return geom.Point{
+		X: o.X + (float64(i)+0.5)*faceWidth/(1<<MaxLevel),
+		Y: o.Y + (float64(j)+0.5)*faceHeight/(1<<MaxLevel),
+	}
+}
+
+// TestFromFaceIJLeafMatchesGeneric checks the six-level hilbert6 kernel
+// against the per-level FromFaceIJ encoding on random leaves and corners.
 func TestFromFaceIJLeafMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	pts := make([]geom.Point, 0, 100000)
+	var want []CellID
 	for iter := 0; iter < 100000; iter++ {
 		face := rng.Intn(NumFaces)
 		i := rng.Intn(1 << MaxLevel)
 		j := rng.Intn(1 << MaxLevel)
-		want := FromFaceIJ(face, i, j, MaxLevel)
-		got := fromFaceIJLeaf(face, i, j)
-		if got != want {
-			t.Fatalf("fromFaceIJLeaf(%d, %#x, %#x) = %#x, want %#x",
-				face, i, j, uint64(got), uint64(want))
-		}
+		pts = append(pts, leafCenter(face, i, j))
+		want = append(want, FromFaceIJ(face, i, j, MaxLevel))
 	}
 	// Corners.
 	for _, v := range []int{0, 1, 1<<MaxLevel - 1} {
 		for face := 0; face < NumFaces; face++ {
-			if got, want := fromFaceIJLeaf(face, v, v), FromFaceIJ(face, v, v, MaxLevel); got != want {
-				t.Fatalf("corner (%d, %d): %#x != %#x", face, v, uint64(got), uint64(want))
-			}
+			pts = append(pts, leafCenter(face, v, v))
+			want = append(want, FromFaceIJ(face, v, v, MaxLevel))
+		}
+	}
+	got := make([]CellID, len(pts))
+	FromPoints(got, pts)
+	for k := range pts {
+		if got[k] != want[k] {
+			t.Fatalf("FromPoints(%v) = %#x, want %#x", pts[k], uint64(got[k]), uint64(want[k]))
 		}
 	}
 }

@@ -31,8 +31,11 @@ func TestNoAllocHarness(t *testing.T) {
 		allocSink += FromPoint(p)
 	})
 
-	//act:alloc-harness fromFaceIJLeaf
-	testAllocs(t, "fromFaceIJLeaf", func() {
-		allocSink += fromFaceIJLeaf(1, 123456, 654321)
+	src := []geom.Point{p, {X: 100, Y: -40}, {X: 0, Y: 0}}
+	dst := make([]CellID, len(src))
+	//act:alloc-harness FromPoints
+	testAllocs(t, "FromPoints", func() {
+		FromPoints(dst, src)
+		allocSink += dst[0]
 	})
 }

@@ -4,14 +4,18 @@
 // Evaluation of Spatial Joins"; Kipf et al., "Adaptive Geospatial Joins for
 // Modern Hardware"):
 //
-//  1. The probe stream is optionally sorted by leaf cell id (a min-offset
-//     LSD radix sort over only the bits the index can distinguish), so
-//     consecutive probes walk the same trie path and touch the same node
-//     cache lines.
+//  1. The probe stream is optionally partial-sorted by leaf cell id (a
+//     min-offset radix partition on the top bits of the key range the
+//     index can distinguish, split across workers but stable, so the
+//     schedule is the same at every thread count), so consecutive probes
+//     walk the same trie path and touch the same node cache lines.
 //  2. Each worker caches the validity range of its last probe
 //     (cellindex.RangeIndex): a run of points falling into the same
 //     super-covering cell — or the same false-hit gap — skips the tree walk
-//     entirely. On a sorted stream, runs are maximal.
+//     entirely. Runs are maximal only for index cells that span whole sort
+//     buckets: keys inside one 2^bucketShift bucket stay unordered, so the
+//     points of a cell finer than a bucket can be interleaved with their
+//     neighbours' and break into several runs.
 //  3. Workers fetch batches of 16 positions via an atomic counter (the
 //     paper's Section 3.4 scheme) and accumulate into private buffers,
 //     merged once at the end.
@@ -20,6 +24,7 @@ package join
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -132,7 +137,7 @@ func runBatch(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []
 		if lv, ok := idx.(leveler); ok {
 			drop = uint(2*(cellid.MaxLevel-lv.MaxCellLevel()) + 1)
 		}
-		ord = makeProbeOrder(cells, drop)
+		ord = makeProbeOrder(cells, drop, min(threads, runtime.GOMAXPROCS(0)))
 	}
 
 	var out [][]uint32
@@ -401,10 +406,11 @@ func (b *batchRun) probeSortedRuns(w *batchWorker) {
 // bits) finish in two passes.
 const maxSortDigitBits = 15
 
-// schedulePool recycles the sort's ping-pong buffers. A high-traffic caller
-// invokes CoversBatch/JoinCount back to back; without recycling, the two
-// transient schedule buffers alone double the per-call garbage and with it
-// the GC mark frequency.
+// schedulePool recycles the sort's schedule buffers (the packed schedule,
+// and sortWide's ping-pong pair). A high-traffic caller invokes
+// CoversBatch/JoinCount back to back; without recycling, the transient
+// schedule buffers alone double the per-call garbage and with it the GC
+// mark frequency.
 var schedulePool sync.Pool
 
 func scheduleBuf(n int) []uint64 {
@@ -426,8 +432,8 @@ func putScheduleBuf(b []uint64) {
 // (input order, when all keys collapse to one truncated value).
 //
 // The packed schedule is ordered on the keys' top bucketShift-excluded bits
-// only (see sortPacked); keys themselves keep full truncated resolution for
-// exact run detection.
+// only (see partition.sortPacked); keys themselves keep full truncated
+// resolution for exact run detection.
 type probeOrder struct {
 	packed      []uint64
 	perm        []uint32
@@ -436,11 +442,18 @@ type probeOrder struct {
 	bucketShift uint // key bits below this may be unordered
 }
 
+// minChunkPoints is the smallest share of the probe stream the partition
+// hands to one worker: below it, starting goroutines costs more than the
+// passes they split.
+const minChunkPoints = 8192
+
 // makeProbeOrder sorts the probe stream by cells[i]>>drop with a min-offset
-// LSD radix sort: only bits that actually vary across the stream cost a
-// counting pass. O(n) time, two transient buffers. Point counts must fit in
-// 32 bits (a 4-billion-point probe array would not fit in memory anyway).
-func makeProbeOrder(cells []cellid.CellID, drop uint) probeOrder {
+// radix partition: only bits that actually vary across the stream cost
+// work. O(n) time. Up to threads workers each take one contiguous chunk of
+// cells; the schedule is the same at every thread count. Point counts must
+// fit in 32 bits (a 4-billion-point probe array would not fit in memory
+// anyway).
+func makeProbeOrder(cells []cellid.CellID, drop uint, threads int) probeOrder {
 	n := len(cells)
 	if n == 0 {
 		return probeOrder{}
@@ -448,26 +461,84 @@ func makeProbeOrder(cells []cellid.CellID, drop uint) probeOrder {
 	if drop > 63 {
 		drop = 63
 	}
-	minKey, maxKey := uint64(cells[0])>>drop, uint64(cells[0])>>drop
-	for _, c := range cells {
-		k := uint64(c) >> drop
-		if k < minKey {
-			minKey = k
-		}
-		if k > maxKey {
-			maxKey = k
-		}
-	}
+	chunks := max(1, min(threads, n/minChunkPoints))
+	p := &partition{cells: cells, drop: drop, chunks: chunks, keys: make([]uint64, 2*chunks)}
+	p.each((*partition).keyRange)
+	minKey, maxKey := slices.Min(p.keys[:chunks]), slices.Max(p.keys[chunks:])
 	keyBits := uint(bits.Len64(maxKey - minKey))
 	switch {
 	case keyBits == 0:
 		return probeOrder{} // one distinct key: input order is sorted
 	case keyBits <= 32:
-		packed, bucketShift := sortPacked(cells, drop, minKey, keyBits)
-		return probeOrder{packed: packed, minKey: minKey, drop: drop, bucketShift: bucketShift}
+		p.sortPacked(minKey, keyBits)
+		return probeOrder{packed: p.out, minKey: minKey, drop: drop, bucketShift: p.shift}
 	default:
 		return probeOrder{perm: sortWide(cells, drop, minKey, keyBits)}
 	}
+}
+
+// partition is the state of one parallel radix partition of a probe stream.
+// The stream splits into chunks contiguous chunks, one per worker: chunk c
+// is cells[c*n/chunks : (c+1)*n/chunks].
+type partition struct {
+	cells  []cellid.CellID
+	drop   uint
+	chunks int
+
+	keys   []uint64 // per-chunk smallest truncated keys, then largest
+	minKey uint64
+	shift  uint     // key bits below this are not sorted on
+	mask   uint64   // digit mask, applied after shift
+	hist   []int32  // per-chunk digit counts, then scatter offsets
+	out    []uint64 // the packed schedule
+}
+
+// each runs pass over every chunk, all but the last on their own
+// goroutine, and returns once all have finished.
+func (p *partition) each(pass func(p *partition, c, lo, hi int)) {
+	n := len(p.cells)
+	last := p.chunks - 1
+	if last == 0 {
+		pass(p, 0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < last; c++ {
+		wg.Add(1)
+		//act:norecover pure-compute partition pass over a disjoint chunk; a panic is a broken invariant with no state to contain
+		go func(c int) {
+			defer wg.Done()
+			pass(p, c, c*n/p.chunks, (c+1)*n/p.chunks)
+		}(c)
+	}
+	pass(p, last, last*n/p.chunks, n)
+	wg.Wait()
+}
+
+// keyRange records the smallest and largest truncated key of chunk c.
+func (p *partition) keyRange(c, lo, hi int) {
+	minKey, maxKey := uint64(p.cells[lo])>>p.drop, uint64(p.cells[lo])>>p.drop
+	for _, cell := range p.cells[lo:hi] {
+		k := uint64(cell) >> p.drop
+		minKey = min(minKey, k)
+		maxKey = max(maxKey, k)
+	}
+	p.keys[c], p.keys[p.chunks+c] = minKey, maxKey
+}
+
+// histPool recycles the partition's digit histograms (up to
+// 2^maxSortDigitBits int32 counters per chunk) across calls, as
+// schedulePool does for the schedule.
+var histPool sync.Pool
+
+// histBuf returns n zeroed counters, recycled when the pool has enough.
+func histBuf(n int) []int32 {
+	if v, ok := histPool.Get().(*[]int32); ok && cap(*v) >= n {
+		h := (*v)[:n]
+		clear(h)
+		return h
+	}
+	return make([]int32, n)
 }
 
 // sortPacked orders key|idx<<32 words by the top maxSortDigitBits of their
@@ -476,37 +547,60 @@ func makeProbeOrder(cells []cellid.CellID, drop uint) probeOrder {
 // bucket granularity still gets all its points contiguous (its key range
 // spans whole buckets), so the probe loop's run detection loses nothing on
 // the coarse interior cells where the long runs live, while the sort does a
-// fraction of the work of a full-resolution ordering. Returns the schedule
-// and the shift below which keys are unordered.
-func sortPacked(cells []cellid.CellID, drop uint, minKey uint64, keyBits uint) ([]uint64, uint) {
-	n := len(cells)
-	a := scheduleBuf(n)
-	for i, c := range cells {
-		a[i] = (uint64(c)>>drop - minKey) | uint64(i)<<32
-	}
-	b := scheduleBuf(n)
-	shift := uint(0)
+// fraction of the work of a full-resolution ordering. Leaves the schedule
+// in p.out and the shift below which keys are unordered in p.shift.
+//
+// Each chunk counts its own digits; the offsets are then summed digit by
+// digit across the chunks in chunk order, so every chunk scatters its
+// words, built straight from cells, behind those of the chunks before it
+// in the same digit. The result is the stable serial counting sort's,
+// word for word.
+func (p *partition) sortPacked(minKey uint64, keyBits uint) {
+	p.minKey = minKey
 	if keyBits > maxSortDigitBits {
-		shift = keyBits - maxSortDigitBits
+		p.shift = keyBits - maxSortDigitBits
 	}
-	mask := uint64(1<<(keyBits-shift) - 1)
-	counts := make([]int32, mask+1)
-	for _, p := range a {
-		counts[(p>>shift)&mask]++
-	}
+	p.mask = 1<<(keyBits-p.shift) - 1
+	digits := int(p.mask + 1)
+	p.hist = histBuf(p.chunks * digits)
+	p.each((*partition).count)
 	sum := int32(0)
-	for i := range counts {
-		c := counts[i]
-		counts[i] = sum
-		sum += c
+	for d := 0; d < digits; d++ {
+		for i := d; i < len(p.hist); i += digits {
+			cnt := p.hist[i]
+			p.hist[i] = sum
+			sum += cnt
+		}
 	}
-	for _, p := range a {
-		d := (p >> shift) & mask
-		b[counts[d]] = p
-		counts[d]++
+	p.out = scheduleBuf(len(p.cells))
+	p.each((*partition).scatter)
+	hist := p.hist // pool the slice alone, not the whole partition
+	histPool.Put(&hist)
+}
+
+// digits returns chunk c's slice of the histogram.
+func (p *partition) digits(c int) []int32 {
+	d := int(p.mask + 1)
+	return p.hist[c*d : (c+1)*d]
+}
+
+// count tallies the digits of chunk c.
+func (p *partition) count(c, lo, hi int) {
+	h := p.digits(c)
+	for _, cell := range p.cells[lo:hi] {
+		h[(uint64(cell)>>p.drop-p.minKey)>>p.shift&p.mask]++
 	}
-	putScheduleBuf(a)
-	return b, shift
+}
+
+// scatter writes the packed words of chunk c to their sorted positions.
+func (p *partition) scatter(c, lo, hi int) {
+	h := p.digits(c)
+	for i, cell := range p.cells[lo:hi] {
+		k := uint64(cell)>>p.drop - p.minKey
+		d := k >> p.shift & p.mask
+		p.out[h[d]] = k | uint64(lo+i)<<32
+		h[d]++
+	}
 }
 
 // sortWide is the fallback for key ranges over 32 bits: interleaved

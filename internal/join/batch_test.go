@@ -1,11 +1,15 @@
 package join
 
 import (
+	"math"
+	"math/bits"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"actjoin/internal/cellid"
 	"actjoin/internal/cellindex"
+	"actjoin/internal/geom"
 	"actjoin/internal/refs"
 )
 
@@ -163,7 +167,7 @@ func TestMakeProbeOrder(t *testing.T) {
 		if eff > 63 {
 			eff = 63
 		}
-		ord := makeProbeOrder(f.cells, drop)
+		ord := makeProbeOrder(f.cells, drop, 1)
 		idxs := orderIndices(ord, len(f.cells))
 		seen := make([]bool, len(idxs))
 		for k := 1; k < len(idxs); k++ {
@@ -199,11 +203,108 @@ func TestMakeProbeOrder(t *testing.T) {
 			}
 		}
 	}
-	if ord := makeProbeOrder(nil, 0); ord.packed != nil || ord.perm != nil {
+	if ord := makeProbeOrder(nil, 0, 1); ord.packed != nil || ord.perm != nil {
 		t.Error("empty input must schedule input order")
 	}
-	one := makeProbeOrder([]cellid.CellID{cellid.FromPoint(f.pts[0])}, 0)
+	one := makeProbeOrder([]cellid.CellID{cellid.FromPoint(f.pts[0])}, 0, 1)
 	if got := orderIndices(one, 1); len(got) != 1 || got[0] != 0 {
 		t.Errorf("singleton order = %v", got)
+	}
+}
+
+// sortPackedRef is the serial single-pass counting sort, the oracle for the
+// parallel partition: it stages key|idx<<32 words and scatters them stably
+// by the top maxSortDigitBits of the key range.
+func sortPackedRef(cells []cellid.CellID, drop uint, minKey uint64, keyBits uint) ([]uint64, uint) {
+	a := make([]uint64, len(cells))
+	for i, c := range cells {
+		a[i] = (uint64(c)>>drop - minKey) | uint64(i)<<32
+	}
+	shift := uint(0)
+	if keyBits > maxSortDigitBits {
+		shift = keyBits - maxSortDigitBits
+	}
+	mask := uint64(1<<(keyBits-shift) - 1)
+	counts := make([]int32, mask+1)
+	for _, p := range a {
+		counts[(p>>shift)&mask]++
+	}
+	sum := int32(0)
+	for i := range counts {
+		c := counts[i]
+		counts[i] = sum
+		sum += c
+	}
+	b := make([]uint64, len(a))
+	for _, p := range a {
+		d := (p >> shift) & mask
+		b[counts[d]] = p
+		counts[d]++
+	}
+	return b, shift
+}
+
+// TestProbeOrderSameAtEveryThreadCount checks that the partitioned sort
+// schedules the stream word for word like the serial counting sort, for
+// every chunk count, on the inputs that stress the chunking.
+func TestProbeOrderSameAtEveryThreadCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	nyc := func(n int) []cellid.CellID {
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Point{X: -74.1 + 0.3*rng.Float64(), Y: 40.6 + 0.3*rng.Float64()}
+		}
+		cells := make([]cellid.CellID, n)
+		cellid.FromPoints(cells, pts)
+		return cells
+	}
+	world := make([]cellid.CellID, 3*minChunkPoints+1)
+	for i := range world {
+		world[i] = cellid.FromPoint(geom.Point{X: 360*rng.Float64() - 180, Y: 180*rng.Float64() - 90})
+	}
+	same := make([]cellid.CellID, 5*minChunkPoints)
+	for i := range same {
+		same[i] = world[0]
+	}
+	const (
+		packed = iota
+		perm
+		input
+	)
+	for _, tc := range []struct {
+		name  string
+		cells []cellid.CellID
+		drop  uint
+		kind  int
+	}{
+		{"n not divisible by chunks", nyc(7*minChunkPoints + 5), 21, packed},
+		{"below one-chunk threshold", nyc(minChunkPoints - 1), 21, packed},
+		{"keys narrower than one digit", nyc(4*minChunkPoints + 3), 41, packed},
+		{"all keys equal", same, 0, input},
+		{"keys wider than 32 bits", world, 0, perm},
+	} {
+		minKey, maxKey := uint64(math.MaxUint64), uint64(0)
+		for _, c := range tc.cells {
+			minKey = min(minKey, uint64(c)>>tc.drop)
+			maxKey = max(maxKey, uint64(c)>>tc.drop)
+		}
+		keyBits := uint(bits.Len64(maxKey - minKey))
+		var want probeOrder
+		switch tc.kind {
+		case packed:
+			if keyBits == 0 || keyBits > 32 {
+				t.Fatalf("%s: %d key bits do not take the packed path", tc.name, keyBits)
+			}
+			want.packed, want.bucketShift = sortPackedRef(tc.cells, tc.drop, minKey, keyBits)
+			want.minKey, want.drop = minKey, tc.drop
+		case perm:
+			want.perm = sortWide(tc.cells, tc.drop, minKey, keyBits)
+		}
+		for _, threads := range []int{1, 2, 3, 4, 7} {
+			got := makeProbeOrder(tc.cells, tc.drop, threads)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: threads %d: schedule differs from the serial counting sort", tc.name, threads)
+			}
+		}
 	}
 }

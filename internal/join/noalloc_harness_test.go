@@ -43,7 +43,7 @@ func TestNoAllocHarness(t *testing.T) {
 	for i := range cells {
 		cells[i] = cellid.CellID(uint64(leaf) + uint64(2*i))
 	}
-	ord := makeProbeOrder(cells, 0)
+	ord := makeProbeOrder(cells, 0, 1)
 	if ord.packed == nil {
 		t.Fatal("probe order did not pack — harness input no longer matches the sorted path")
 	}

@@ -162,9 +162,7 @@ func (ix *Index) Train(points []Point, maxCells int) TrainStats {
 // results non-nil, each shard's op reports its outcome into its slot.
 func (ix *Index) planTrain(points []Point, maxCells int, results []supercover.TrainResult) [][]shardOp {
 	cells := make([]cellid.CellID, len(points))
-	for i, p := range points {
-		cells[i] = cellid.FromPoint(geom.Point{X: p.Lon, Y: p.Lat})
-	}
+	toCells(cells, nil, points)
 	order, offsets := join.PartitionByShard(cells, ix.router.bounds)
 	plan := make([][]shardOp, len(ix.shards))
 	for si := range plan {
