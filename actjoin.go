@@ -323,13 +323,19 @@ func NewShardedIndex(polygons []Polygon, shards int, opts ...Option) (*Index, er
 	return ix, nil
 }
 
+// vertexInRange is the vertex rule every polygon obeys on its way into an
+// index, from NewIndex and Add (toGeom) and from ReadIndexFrom alike: lon
+// in [-180, 180] and lat in [-90, 90]. NaN and the infinities fail it.
+func vertexInRange(lon, lat float64) bool {
+	return lon >= -180 && lon <= 180 && lat >= -90 && lat <= 90
+}
+
 func toGeom(p Polygon) (*geom.Polygon, error) {
 	rings := make([]geom.Ring, 0, 1+len(p.Holes))
 	conv := func(r Ring) (geom.Ring, error) {
 		out := make(geom.Ring, len(r))
 		for i, v := range r {
-			if math.IsNaN(v.Lon) || math.IsNaN(v.Lat) ||
-				v.Lon < -180 || v.Lon > 180 || v.Lat < -90 || v.Lat > 90 {
+			if !vertexInRange(v.Lon, v.Lat) {
 				return nil, fmt.Errorf("vertex %d out of range: (%v, %v)", i, v.Lon, v.Lat)
 			}
 			out[i] = geom.Point{X: v.Lon, Y: v.Lat}

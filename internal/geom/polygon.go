@@ -3,6 +3,7 @@ package geom
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Ring is a closed polyline: consecutive vertices are connected, and the
@@ -39,49 +40,151 @@ func (r Ring) SignedArea() float64 {
 	return a / 2
 }
 
-// containsPoint reports whether p is inside the ring region using the
-// ray-crossing (even-odd) rule.
-func (r Ring) containsPoint(p Point) bool {
-	inside := false
-	n := len(r)
-	for i := 0; i < n; i++ {
-		if (Segment{r[i], r[(i+1)%n]}).CrossesVertical(p) {
-			inside = !inside
-		}
-	}
-	return inside
-}
-
 // Polygon is a polygon with optional holes. Rings[0] is the outer boundary;
 // any further rings are holes. Point containment follows the even-odd rule
 // over all rings, which matches the ST_Covers semantics the paper adopts for
 // well-formed inputs (holes strictly inside the shell, no self-intersection).
+//
+// NewPolygon copies the rings into one flat vertex array and indexes their
+// edges; Rings are views into that array and must not be mutated.
 type Polygon struct {
 	Rings []Ring
 
 	bound    Rect
 	numEdges int
+
+	// verts holds every ring's vertices followed by that ring's first
+	// vertex again, so each edge is a pair verts[k], verts[k+1] named by
+	// its start index k, in the ring's own orientation.
+	verts []Point
+
+	// The band index: the bound's Y range cut into equal horizontal bands,
+	// in CSR form. bandEdges lists, band by band, the start index of every
+	// edge (of any ring) whose [minY, maxY] overlaps the band; band b's
+	// edges are bandEdges[bandStart[b]:bandStart[b+1]]. A horizontal line
+	// y = c meets only edges listed in band(c), so the PIP test and the
+	// rect relation scan one band instead of every ring.
+	bandScale float64 // bands per unit of Y
+	bandStart []int32
+	bandEdges []int32
 }
 
 // NewPolygon builds a polygon from an outer ring and optional holes, and
-// precomputes its bounding rect. It returns an error for rings with fewer
-// than three vertices.
+// precomputes its bounding rect and band index. It returns an error for
+// rings with fewer than three vertices.
 func NewPolygon(rings ...Ring) (*Polygon, error) {
 	if len(rings) == 0 {
 		return nil, errors.New("geom: polygon needs at least one ring")
 	}
+	p := &Polygon{Rings: make([]Ring, len(rings)), bound: EmptyRect()}
 	for i, r := range rings {
 		if len(r) < 3 {
 			return nil, fmt.Errorf("geom: ring %d has %d vertices, need >= 3", i, len(r))
 		}
-	}
-	p := &Polygon{Rings: rings}
-	p.bound = EmptyRect()
-	for _, r := range rings {
-		p.bound = p.bound.Union(r.Bound())
 		p.numEdges += len(r)
 	}
+	p.verts = make([]Point, 0, p.numEdges+len(rings))
+	for i, r := range rings {
+		k := len(p.verts)
+		p.verts = append(p.verts, r...)
+		p.Rings[i] = p.verts[k:len(p.verts):len(p.verts)]
+		p.verts = append(p.verts, r[0])
+		p.bound = p.bound.Union(r.Bound())
+	}
+	p.buildBands()
 	return p, nil
+}
+
+// maxBandEntriesPerEdge caps the band index at about this many entries per
+// edge. An edge is listed in every band it spans, so a ring of n edges that
+// each span the full height (a zigzag) would otherwise cost n² entries.
+const maxBandEntriesPerEdge = 8
+
+// buildBands builds the band index. The band count is the edge count, so a
+// band holds O(1) edges on average for rings whose edges are short, and
+// fewer bands are used only when tall edges would overrun the entry cap. A
+// bound without a positive finite height gets one band holding every edge.
+func (p *Polygon) buildBands() {
+	nb := p.numEdges
+	h := p.bound.Height()
+	if !(h > 0) || math.IsInf(h, 1) {
+		nb = 1
+	} else {
+		// Each edge lands in about span*nb + 1 bands.
+		var span float64
+		p.eachEdge(func(k int) { span += math.Abs(p.verts[k+1].Y-p.verts[k].Y) / h })
+		if limit := maxBandEntriesPerEdge * float64(p.numEdges); float64(nb)*span > limit {
+			nb = max(1, int(limit/span))
+		}
+	}
+	p.bandScale = float64(nb) / h
+	p.bandStart = make([]int32, nb+1)
+
+	// Two passes, counting sort style: count each band's edges, then place
+	// them. Within a band, edges keep ring-major order.
+	p.eachEdge(func(k int) {
+		lo, hi := p.edgeBands(k)
+		for b := lo; b <= hi; b++ {
+			p.bandStart[b+1]++
+		}
+	})
+	for b := 1; b <= nb; b++ {
+		p.bandStart[b] += p.bandStart[b-1]
+	}
+	p.bandEdges = make([]int32, p.bandStart[nb])
+	next := append([]int32(nil), p.bandStart[:nb]...)
+	p.eachEdge(func(k int) {
+		lo, hi := p.edgeBands(k)
+		for b := lo; b <= hi; b++ {
+			p.bandEdges[next[b]] = int32(k)
+			next[b]++
+		}
+	})
+}
+
+// eachEdge calls f with the start index in verts of every edge, in
+// ring-major order.
+func (p *Polygon) eachEdge(f func(k int)) {
+	k := 0
+	for _, r := range p.Rings {
+		for end := k + len(r); k < end; k++ {
+			f(k)
+		}
+		k++ // the ring's closing vertex starts no edge
+	}
+}
+
+// edgeBands returns the first and last band the edge starting at verts[k]
+// is listed in.
+func (p *Polygon) edgeBands(k int) (lo, hi int) {
+	lo, hi = p.band(p.verts[k].Y), p.band(p.verts[k+1].Y)
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return lo, hi
+}
+
+// band returns the band holding y. It is monotone in y, so an edge with
+// minY <= y <= maxY is listed in band(y). The product is clamped before the
+// int conversion: y below the bound, a NaN product (a subnormal height
+// makes bandScale +Inf, and y == bound.Lo.Y then gives 0·Inf) and y at or
+// past bound.Hi.Y all land in the first or last band.
+func (p *Polygon) band(y float64) int {
+	f := (y - p.bound.Lo.Y) * p.bandScale
+	last := len(p.bandStart) - 2
+	if !(f > 0) {
+		return 0
+	}
+	if f >= float64(last) {
+		return last
+	}
+	return int(f)
+}
+
+// bandRange returns the start indices of the edges listed in bands lo
+// through hi.
+func (p *Polygon) bandRange(lo, hi int) []int32 {
+	return p.bandEdges[p.bandStart[lo]:p.bandStart[hi+1]]
 }
 
 // MustPolygon is NewPolygon that panics on invalid input; intended for
@@ -116,14 +219,21 @@ func (p *Polygon) Edge(i int) Segment {
 }
 
 // ContainsPoint is the point-in-polygon (PIP) test: the ray-crossing
-// algorithm described in Section 2 of the paper, O(NumEdges).
+// algorithm described in Section 2 of the paper, with the even-odd parity
+// taken over all rings at once. An edge crosses the line y = pt.Y only if
+// minY <= pt.Y < maxY, so only the edges in pt's band are tested: O(1)
+// edges per test for rings of short edges, instead of O(NumEdges).
+//
+//act:hotpath
 func (p *Polygon) ContainsPoint(pt Point) bool {
 	if !p.bound.ContainsPoint(pt) {
 		return false
 	}
+	b := p.band(pt.Y)
 	inside := false
-	for _, r := range p.Rings {
-		if r.containsPoint(pt) {
+	v := p.verts
+	for _, k := range p.bandRange(b, b) {
+		if (Segment{v[k], v[k+1]}).CrossesVertical(pt) {
 			inside = !inside
 		}
 	}
@@ -183,21 +293,20 @@ func (rr RectRelation) String() string {
 // through it (partial). Otherwise the rect is entirely on one side of the
 // boundary, so testing the rect center decides between inside and disjoint.
 // (The case "polygon strictly inside rect" implies a boundary point inside
-// the rect and is therefore already classified partial.)
+// the rect and is therefore already classified partial.) An edge that meets
+// the rect has a point with Y in [rect.Lo.Y, rect.Hi.Y], so only the bands
+// spanning that range are scanned; an edge listed in several of them may be
+// tested more than once.
+//
+//act:hotpath
 func (p *Polygon) RelateRect(rect Rect) RectRelation {
 	if !p.bound.Intersects(rect) {
 		return RectDisjoint
 	}
-	for _, ring := range p.Rings {
-		rb := ring.Bound()
-		if !rb.Intersects(rect) {
-			continue
-		}
-		for i := range ring {
-			e := ring.Edge(i)
-			if e.IntersectsRect(rect) {
-				return RectPartial
-			}
+	v := p.verts
+	for _, k := range p.bandRange(p.band(rect.Lo.Y), p.band(rect.Hi.Y)) {
+		if (Segment{v[k], v[k+1]}).IntersectsRect(rect) {
+			return RectPartial
 		}
 	}
 	if p.ContainsPoint(rect.Center()) {

@@ -209,6 +209,9 @@ func ReadIndexFrom(r io.Reader) (*Index, error) {
 					X: math.Float64frombits(d.u64()),
 					Y: math.Float64frombits(d.u64()),
 				}
+				if v := ring[vi]; !vertexInRange(v.X, v.Y) {
+					return nil, fmt.Errorf("actjoin: polygon %d ring %d: vertex %d out of range: (%v, %v)", i, ri, vi, v.X, v.Y)
+				}
 			}
 			rings = append(rings, ring)
 		}

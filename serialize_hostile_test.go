@@ -92,6 +92,51 @@ func TestReadIndexFromRejectsHostileCounts(t *testing.T) {
 	}
 }
 
+// TestReadIndexFromRejectsOutOfRangeVertices pins the loader to the vertex
+// rule NewIndex applies: a file with a valid CRC whose first vertex is NaN,
+// infinite or off the globe must not load (and so can never put a
+// non-finite bound into a polygon's band index).
+func TestReadIndexFromRejectsOutOfRangeVertices(t *testing.T) {
+	ix, err := NewIndex([]Polygon{{Exterior: Ring{
+		{Lon: -74, Lat: 40.7}, {Lon: -73.99, Lat: 40.7}, {Lon: -73.99, Lat: 40.71}, {Lon: -74, Lat: 40.71},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.Current().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Body offset of the first vertex: delta u32, precision f64, level u32,
+	// polygon count u32, ring count u32, vertex count u32.
+	const lonAt, latAt = 4 + 8 + 4 + 4 + 4 + 4, 4 + 8 + 4 + 4 + 4 + 4 + 8
+	cases := []struct {
+		name string
+		at   int
+		v    float64
+		want string
+	}{
+		{"lon NaN", lonAt, math.NaN(), "(NaN, 40.7)"},
+		{"lon +Inf", lonAt, math.Inf(1), "(+Inf, 40.7)"},
+		{"lon -Inf", lonAt, math.Inf(-1), "(-Inf, 40.7)"},
+		{"lon 500", lonAt, 500, "(500, 40.7)"},
+		{"lat -95", latAt, -95, "(-74, -95)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := append([]byte(nil), buf.Bytes()[12:]...)
+			binary.LittleEndian.PutUint64(body[tc.at:], math.Float64bits(tc.v))
+			_, err := ReadIndexFrom(bytes.NewReader(craftIndexFile(body)))
+			if err == nil {
+				t.Fatal("out-of-range vertex accepted")
+			}
+			if want := "actjoin: polygon 0 ring 0: vertex 0 out of range: " + tc.want; err.Error() != want {
+				t.Fatalf("error %q, want %q", err, want)
+			}
+		})
+	}
+}
+
 // The two hand-written fuzz seeds, promoted to always-on unit tests with
 // exact error assertions (the fuzzer only checks "no panic, no success").
 
