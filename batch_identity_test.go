@@ -1,6 +1,7 @@
 package actjoin
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -23,9 +24,24 @@ func TestBatchMatchesPerPointAcrossThreadsAndShards(t *testing.T) {
 		return out
 	}
 	const n = 40_000 // several partition chunks per call
+	// World-spanning probes vary in key bits far above 32 after the sort's
+	// drop, so they take the permutation schedule; one repeated point
+	// collapses to one key and probes in input order.
+	rng := rand.New(rand.NewSource(33))
+	world := dataset.TaxiPoints(spec.Bound, n, 34)
+	for i := 0; i < n; i += 2 {
+		world[i] = geom.Point{X: 360*rng.Float64() - 180, Y: 180*rng.Float64() - 90}
+	}
+	taxi := toPublic(dataset.TaxiPoints(spec.Bound, n, 31))
+	oneCell := make([]Point, n)
+	for i := range oneCell {
+		oneCell[i] = taxi[0]
+	}
 	streams := map[string][]Point{
-		"taxi":    toPublic(dataset.TaxiPoints(spec.Bound, n, 31)),
-		"uniform": toPublic(dataset.UniformPoints(spec.Bound, n, 32)),
+		"taxi":     taxi,
+		"uniform":  toPublic(dataset.UniformPoints(spec.Bound, n, 32)),
+		"world":    toPublic(world),
+		"one cell": oneCell,
 	}
 	for _, shards := range []int{1, 2} {
 		idx, err := NewShardedIndex(polys, shards, WithPrecision(30))

@@ -13,8 +13,9 @@ import (
 // (publish latency), what Current costs on the read path (an atomic load),
 // and what batch-join throughput looks like with a writer continuously
 // publishing snapshots next to it — the serving regime the snapshot design
-// exists for. Compare against the quiescent numbers in BENCH_joinbatch.json
-// (the baseline is recorded in BENCH_snapshot.json).
+// exists for. Compare against the quiescent join workloads BENCHMARK.json
+// declares (sh cmd/actledger/run.sh); the baseline is recorded in
+// BENCH_snapshot.json.
 
 type snapshotFixture struct {
 	idx   *Index

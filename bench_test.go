@@ -434,7 +434,8 @@ func BenchmarkAblationInlineRefsVsTable(b *testing.B) {
 // The acceptance workload of the batch engine: 100k clustered (taxi) and
 // uniform points over the neighborhoods mesh, queried through the public
 // API. The per-point loop is the baseline every batch variant is measured
-// against; BENCH_joinbatch.json records the reference numbers.
+// against; the gated join numbers come from the workloads BENCHMARK.json
+// declares (sh cmd/actledger/run.sh).
 
 type batchFixture struct {
 	idx      *Index

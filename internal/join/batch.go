@@ -9,16 +9,18 @@
 //     index can distinguish, split across workers but stable, so the
 //     schedule is the same at every thread count), so consecutive probes
 //     walk the same trie path and touch the same node cache lines.
-//  2. Each worker caches the validity range of its last probe
-//     (cellindex.RangeIndex): a run of points falling into the same
-//     super-covering cell — or the same false-hit gap — skips the tree walk
-//     entirely. Runs are maximal only for index cells that span whole sort
-//     buckets: keys inside one 2^bucketShift bucket stay unordered, so the
-//     points of a cell finer than a bucket can be interleaved with their
-//     neighbours' and break into several runs.
-//  3. Workers fetch batches of 16 positions via an atomic counter (the
-//     paper's Section 3.4 scheme) and accumulate into private buffers,
-//     merged once at the end.
+//  2. A run of consecutive probes falling into the validity range of one
+//     index cell (cellindex.RangeIndex) — or of one false-hit gap — costs
+//     one trie walk and one entry decode for the whole run. Runs are
+//     maximal only for index cells that span whole sort buckets: keys
+//     inside one 2^bucketShift bucket stay unordered, so the points of a
+//     cell finer than a bucket can be interleaved with their neighbours'
+//     and break into several runs.
+//  3. Workers claim contiguous chunks of chunkSize schedule positions via
+//     an atomic counter (the paper's Section 3.4 scheme at a coarser
+//     grain) and accumulate into private buffers, merged once at the end.
+//     A run cut at a chunk edge costs one extra walk; the cuts are the
+//     same at every thread count, and so is every Result field.
 package join
 
 import (
@@ -40,12 +42,18 @@ type BatchOptions struct {
 	Mode Mode
 	// Sorted probes the points in ascending cell-id order (results are
 	// still reported in input order). Sorting costs a couple of O(n)
-	// counting passes but maximizes run lengths for the last-range cache
-	// and trie locality.
+	// counting passes but maximizes run lengths and trie locality;
+	// unsorted streams still share a walk among consecutive points of
+	// one index cell.
 	Sorted bool
 	// Threads is the worker count; 0 uses all CPUs, 1 runs single-threaded.
 	Threads int
 }
+
+// chunkSize is the number of schedule positions a worker claims per atomic
+// fetch: long enough that few runs are cut at a chunk edge, short enough
+// that workers still balance a skewed stream.
+const chunkSize = 4096
 
 // leveler is implemented by indexes that know their deepest indexed cell
 // level. Leaf-id bits below that level cannot change a probe's answer, so
@@ -54,31 +62,23 @@ type leveler interface {
 	MaxCellLevel() int
 }
 
-// span records where one point's result ids landed in a worker's arena.
-type span struct {
-	pos        int // original point index
-	start, end int // arena slice bounds
-}
-
 // batchWorker is the per-worker state: the shared accumulator of the
-// single-point path plus the last-range probe cache and the result arena.
+// single-point path plus the run counter and the result arena.
 type batchWorker struct {
 	local
-	cacheHits  int64
-	cacheValid bool
-	cacheLo    cellid.CellID
-	cacheHi    cellid.CellID
-	cacheEntry refs.Entry
+	cacheHits int64
 
-	ids   []uint32 // result arena (collect mode)
-	spans []span   // non-empty results, in probe order (parallel collect)
-	out   [][]uint32
+	ids     []uint32   // result arena (collect mode)
+	scratch []refs.Ref // decoded entry of the current run
 
-	scratch []refs.Ref // decoded entry of the current run (sorted path)
+	// Workers are allocated back to back and write their fields on every
+	// run; a cache line of padding keeps one worker's writes from evicting
+	// the line another worker reads.
+	_ [64]byte
 }
 
 // RunBatchCount is Run through the batch pipeline: per-polygon counts with
-// sorted probing and last-range caching. pts may be nil in Approximate
+// sorted probing and run-at-a-time lookups. pts may be nil in Approximate
 // mode, which never touches the geometry.
 func RunBatchCount(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []cellid.CellID, polys []*geom.Polygon, opt BatchOptions) Result {
 	_, res := runBatch(idx, table, pts, cells, polys, opt, false)
@@ -93,9 +93,9 @@ func RunBatchCollect(idx cellindex.Index, table *refs.Table, pts []geom.Point, c
 	return runBatch(idx, table, pts, cells, polys, opt, true)
 }
 
-// batchRun bundles the probe inputs every worker shares, so the probe loops
-// can be declared methods (and carry //act: annotations) instead of closures
-// capturing half of runBatch's frame.
+// batchRun bundles the probe inputs every worker shares, so the probe loop
+// can be a declared method (and carry //act: annotations) instead of a
+// closure capturing half of runBatch's frame.
 type batchRun struct {
 	idx     cellindex.Index
 	ri      cellindex.RangeIndex // idx's range interface, nil when not supported
@@ -107,12 +107,12 @@ type batchRun struct {
 	n       int
 	exact   bool
 	collect bool
-	// direct marks single-worker runs, which publish result slices straight
-	// into out; parallel workers record spans into their private arena and
-	// merge after the barrier (a growing arena keeps already-published
-	// backing arrays intact, but the final re-slice must happen once appends
-	// stop).
-	direct bool
+	// out receives collect-mode results by point index. Workers publish
+	// slices of their own arenas straight into it: chunks are disjoint,
+	// and a growing arena leaves already-published backing arrays intact.
+	out [][]uint32
+	// cursor is the next unclaimed schedule position.
+	cursor atomic.Int64 //act:atomic
 }
 
 func runBatch(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []cellid.CellID, polys []*geom.Polygon, opt BatchOptions, collect bool) ([][]uint32, Result) {
@@ -121,12 +121,7 @@ func runBatch(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	if threads > runtime.GOMAXPROCS(0)*4 {
-		threads = runtime.GOMAXPROCS(0) * 4
-	}
-	if n < 4*batchSize {
-		threads = 1
-	}
+	threads = max(1, min(threads, runtime.GOMAXPROCS(0)*4, (n+chunkSize-1)/chunkSize))
 
 	start := time.Now()
 	var ord probeOrder
@@ -152,46 +147,28 @@ func runBatch(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []
 		ord: ord, n: n,
 		exact:   opt.Mode == Exact,
 		collect: collect,
-		direct:  threads == 1,
+		out:     out,
 	}
 
 	workers := make([]*batchWorker, threads)
 	for i := range workers {
-		w := &batchWorker{local: local{counts: make([]int64, len(polys))}, out: out}
+		w := &batchWorker{local: local{counts: make([]int64, len(polys))}}
 		if collect {
-			w.ids = make([]uint32, 0, n/threads+batchSize)
+			w.ids = make([]uint32, 0, n/threads+chunkSize)
 		}
 		workers[i] = w
 	}
-	if b.direct {
-		if ord.packed != nil {
-			b.probeSortedRuns(workers[0])
-		} else {
-			b.probeRange(workers[0], 0, n)
-		}
-	} else {
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for _, w := range workers {
-			wg.Add(1)
-			//act:norecover pure-compute probe worker over frozen state; a panic is a broken invariant with no state to contain
-			go func(w *batchWorker) {
-				defer wg.Done()
-				for {
-					begin := int(cursor.Add(batchSize)) - batchSize
-					if begin >= n {
-						return
-					}
-					end := begin + batchSize
-					if end > n {
-						end = n
-					}
-					b.probeRange(w, begin, end)
-				}
-			}(w)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for _, w := range workers[1:] {
+		wg.Add(1)
+		//act:norecover pure-compute probe worker over frozen state; a panic is a broken invariant with no state to contain
+		go func(w *batchWorker) {
+			defer wg.Done()
+			b.drain(w)
+		}(w)
 	}
+	b.drain(workers[0])
+	wg.Wait()
 
 	// Merge the per-worker buffers.
 	res := Result{Counts: make([]int64, len(polys)), Points: n}
@@ -203,9 +180,6 @@ func runBatch(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []
 		res.PIPTests += w.pipTests
 		res.SolelyTrueHits += w.sth
 		res.CacheHits += w.cacheHits
-		for _, s := range w.spans {
-			out[s.pos] = w.ids[s.start:s.end:s.end]
-		}
 	}
 	if ord.packed != nil {
 		putScheduleBuf(ord.packed)
@@ -214,124 +188,47 @@ func runBatch(idx cellindex.Index, table *refs.Table, pts []geom.Point, cells []
 	return out, res
 }
 
-// probeRange runs one worker over claimed positions [begin, end). Not a
-// hotpath function: the per-ref handle closure mutates its captured match
-// flags, which the table-visit indirection needs — the closure-free bulk
-// loop is probeSortedRuns.
-func (b *batchRun) probeRange(w *batchWorker, begin, end int) {
-	for k := begin; k < end; k++ {
-		i := k
-		var leaf cellid.CellID
-		switch {
-		case b.ord.packed != nil:
-			// Sequential read of the sorted schedule; the probe leaf is
-			// rebuilt from the truncated key (bits the index never
-			// reads are zeroed — same answer, no gather into cells).
-			p := b.ord.packed[k]
-			i = int(p >> 32)
-			leaf = cellid.CellID((uint64(uint32(p))+b.ord.minKey)<<b.ord.drop | 1)
-		case b.ord.perm != nil:
-			i = int(b.ord.perm[k])
-			leaf = b.cells[i]
-		default:
-			leaf = b.cells[i]
+// drain claims chunks of the schedule from the shared cursor and probes
+// them until none is left.
+func (b *batchRun) drain(w *batchWorker) {
+	for {
+		lo := int(b.cursor.Add(chunkSize)) - chunkSize
+		if lo >= b.n {
+			return
 		}
-		var entry refs.Entry
-		switch {
-		case w.cacheValid && leaf >= w.cacheLo && leaf <= w.cacheHi:
-			entry = w.cacheEntry
-			w.cacheHits++
-		case b.ri != nil:
-			entry, w.cacheLo, w.cacheHi = b.ri.FindRange(leaf)
-			w.cacheEntry = entry
-			w.cacheValid = true
-		default:
-			entry = b.idx.Find(leaf)
-		}
-		if entry.IsFalseHit() {
-			w.sth++
-			continue
-		}
-		arenaStart := len(w.ids)
-		hadMatch := false
-		hadCandidate := false
-		handle := func(r refs.Ref) {
-			pid := r.PolygonID()
-			if !r.Interior() {
-				hadCandidate = true
-				if b.exact {
-					w.pipTests++
-					if !b.polys[pid].ContainsPoint(b.pts[i]) {
-						return
-					}
-				}
-			}
-			w.counts[pid]++
-			hadMatch = true
-			if b.collect {
-				w.ids = append(w.ids, pid)
-			}
-		}
-		switch entry.Tag() {
-		case refs.TagOneRef:
-			handle(entry.Ref1())
-		case refs.TagTwoRefs:
-			handle(entry.Ref1())
-			handle(entry.Ref2())
-		default:
-			b.table.Visit(entry, handle)
-		}
-		if hadMatch {
-			w.matched++
-		}
-		if !hadCandidate {
-			w.sth++
-		}
-		if b.collect && len(w.ids) > arenaStart {
-			if b.direct {
-				w.out[i] = w.ids[arenaStart:len(w.ids):len(w.ids)]
-			} else {
-				w.spans = append(w.spans, span{pos: i, start: arenaStart, end: len(w.ids)})
-			}
-		}
+		b.probeRuns(w, lo, min(lo+chunkSize, b.n))
 	}
 }
 
-// probeSortedRuns is the specialized single-worker loop over a packed
-// sorted schedule: it resolves each run of points sharing an index cell
-// (or false-hit gap) with one walk and one entry decode, then
-// bulk-applies the outcome — counts grow by the run length in one step.
-// Only exact-mode candidate refs still cost per-point work, because
-// their PIP tests genuinely depend on the point.
+// probeRuns probes schedule positions [lo, hi): it resolves each run of
+// points sharing an index cell (or false-hit gap) with one walk and one
+// entry decode, then bulk-applies the outcome — counts grow by the run
+// length in one step. Only exact-mode candidate refs still cost per-point
+// work, because their PIP tests genuinely depend on the point. Without a
+// RangeIndex every point is walked.
 //
 //act:hotpath
-func (b *batchRun) probeSortedRuns(w *batchWorker) {
-	packed := b.ord.packed
-	n := b.n
-	for k := 0; k < n; {
-		p := packed[k]
-		leaf := cellid.CellID((uint64(uint32(p))+b.ord.minKey)<<b.ord.drop | 1)
+func (b *batchRun) probeRuns(w *batchWorker, lo, hi int) {
+	ord := &b.ord
+	for k := lo; k < hi; {
+		_, key := ord.at(k, b.cells)
+		leaf := cellid.CellID(key<<ord.drop | 1)
 		var entry refs.Entry
 		runEnd := k + 1
 		if b.ri != nil {
-			var lo, hi cellid.CellID
-			entry, lo, hi = b.ri.FindRange(leaf)
+			var cellLo, cellHi cellid.CellID
+			entry, cellLo, cellHi = b.ri.FindRange(leaf)
 			// Keys within a sort bucket are unordered (partial sort),
-			// so the scan needs both range bounds, in raw key space.
-			loKey, hiKey := uint64(lo)>>b.ord.drop, uint64(hi)>>b.ord.drop
-			for runEnd < n {
-				k2 := uint64(uint32(packed[runEnd])) + b.ord.minKey
-				if k2 < loKey || k2 > hiKey {
+			// so the scan needs both range bounds, in key space.
+			loKey, hiKey := uint64(cellLo)>>ord.drop, uint64(cellHi)>>ord.drop
+			for runEnd < hi {
+				if _, k2 := ord.at(runEnd, b.cells); k2 < loKey || k2 > hiKey {
 					break
 				}
 				runEnd++
 			}
 		} else {
 			entry = b.idx.Find(leaf)
-			// Without range information runs degenerate to equal keys.
-			for runEnd < n && uint32(packed[runEnd]) == uint32(p) {
-				runEnd++
-			}
 		}
 		w.cacheHits += int64(runEnd - k - 1)
 		runLen := int64(runEnd - k)
@@ -348,9 +245,9 @@ func (b *batchRun) probeSortedRuns(w *batchWorker) {
 			}
 		}
 		if b.exact && nCand > 0 {
-			// Refine per point, in entry order like the generic path.
-			for kk := k; kk < runEnd; kk++ {
-				i := int(packed[kk] >> 32)
+			// Refine per point, in entry order like the single-point path.
+			for ; k < runEnd; k++ {
+				i, _ := ord.at(k, b.cells)
 				arenaStart := len(w.ids)
 				hadMatch := false
 				for _, r := range w.scratch {
@@ -371,10 +268,9 @@ func (b *batchRun) probeSortedRuns(w *batchWorker) {
 					w.matched++
 				}
 				if b.collect && len(w.ids) > arenaStart {
-					w.out[i] = w.ids[arenaStart:len(w.ids):len(w.ids)]
+					b.out[i] = w.ids[arenaStart:len(w.ids):len(w.ids)]
 				}
 			}
-			k = runEnd
 			continue
 		}
 		// The outcome is identical for every point of the run.
@@ -388,13 +284,13 @@ func (b *batchRun) probeSortedRuns(w *batchWorker) {
 			w.sth += runLen
 		}
 		if b.collect && len(w.scratch) > 0 {
-			for kk := k; kk < runEnd; kk++ {
-				i := int(packed[kk] >> 32)
+			for ; k < runEnd; k++ {
+				i, _ := ord.at(k, b.cells)
 				arenaStart := len(w.ids)
 				for _, r := range w.scratch {
 					w.ids = append(w.ids, r.PolygonID())
 				}
-				w.out[i] = w.ids[arenaStart:len(w.ids):len(w.ids)]
+				b.out[i] = w.ids[arenaStart:len(w.ids):len(w.ids)]
 			}
 		}
 		k = runEnd
@@ -429,17 +325,35 @@ func putScheduleBuf(b []uint64) {
 // key, high 32 bits the point index, so the probe loop reads the schedule
 // sequentially and reconstructs a probe-equivalent leaf without gathering
 // from cells), a plain index permutation (wide-key fallback), or neither
-// (input order, when all keys collapse to one truncated value).
+// (input order, when all keys collapse to one truncated value or the
+// stream is not sorted).
 //
 // The packed schedule is ordered on the keys' top bucketShift-excluded bits
 // only (see partition.sortPacked); keys themselves keep full truncated
-// resolution for exact run detection.
+// resolution for exact run detection. minKey, drop and bucketShift describe
+// the packed form and are zero otherwise.
 type probeOrder struct {
 	packed      []uint64
 	perm        []uint32
 	minKey      uint64
 	drop        uint
 	bucketShift uint // key bits below this may be unordered
+}
+
+// at returns schedule position k's point index and its key: the leaf id
+// shifted right by drop, whose probe-equivalent leaf is key<<drop|1. The
+// packed form reads the schedule sequentially and never gathers from
+// cells; the other forms read the key from cells.
+func (o *probeOrder) at(k int, cells []cellid.CellID) (int, uint64) {
+	if o.packed != nil {
+		p := o.packed[k]
+		return int(p >> 32), uint64(uint32(p)) + o.minKey
+	}
+	i := k
+	if o.perm != nil {
+		i = int(o.perm[k])
+	}
+	return i, uint64(cells[i])
 }
 
 // minChunkPoints is the smallest share of the probe stream the partition

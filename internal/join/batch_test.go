@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"actjoin/internal/cellid"
@@ -105,6 +106,92 @@ func TestBatchSortedCacheHits(t *testing.T) {
 		BatchOptions{Mode: Approximate, Sorted: false, Threads: 1})
 	if sorted.CacheHits < unsorted.CacheHits {
 		t.Errorf("sorted cache hits %d < unsorted %d", sorted.CacheHits, unsorted.CacheHits)
+	}
+}
+
+// TestBatchSameResultAtEveryThreadCount checks that every Result field and
+// the collect output are identical at every thread count, on each schedule
+// form the probe loop reads: packed, wide-key permutation, input order for
+// one repeated cell, and input order for an unsorted stream.
+func TestBatchSameResultAtEveryThreadCount(t *testing.T) {
+	f := newFixture(t, false, 6*chunkSize+123)
+	rng := rand.New(rand.NewSource(9))
+	world := slices.Clone(f.pts)
+	for i := 0; i < len(world); i += 3 {
+		world[i] = geom.Point{X: 360*rng.Float64() - 180, Y: 180*rng.Float64() - 90}
+	}
+	// One repeated point whose cell holds a candidate ref, so exact mode
+	// refines every point of the stream.
+	var same []geom.Point
+	for i, c := range f.cells {
+		hasCandidate := false
+		f.table.Visit(f.actT.Find(c), func(r refs.Ref) { hasCandidate = hasCandidate || !r.Interior() })
+		if hasCandidate {
+			same = make([]geom.Point, len(f.pts))
+			for k := range same {
+				same[k] = f.pts[i]
+			}
+			break
+		}
+	}
+	if same == nil {
+		t.Fatal("fixture has no candidate cell")
+	}
+	toCells := func(pts []geom.Point) []cellid.CellID {
+		cells := make([]cellid.CellID, len(pts))
+		cellid.FromPoints(cells, pts)
+		return cells
+	}
+	drop := uint(2*(cellid.MaxLevel-f.actT.MaxCellLevel()) + 1)
+	for _, tc := range []struct {
+		name   string
+		pts    []geom.Point
+		sorted bool
+		form   string
+	}{
+		{"packed", f.pts, true, "packed"},
+		{"wide keys", world, true, "perm"},
+		{"one cell", same, true, "input"},
+		{"unsorted", f.pts, false, "input"},
+	} {
+		cells := toCells(tc.pts)
+		if tc.sorted {
+			ord := makeProbeOrder(cells, drop, 1)
+			form := "input"
+			switch {
+			case ord.packed != nil:
+				form = "packed"
+			case ord.perm != nil:
+				form = "perm"
+			}
+			if form != tc.form {
+				t.Fatalf("%s: stream schedules as %s, want %s", tc.name, form, tc.form)
+			}
+		}
+		for _, mode := range []Mode{Approximate, Exact} {
+			opt := BatchOptions{Mode: mode, Sorted: tc.sorted, Threads: 1}
+			wantOut, want := RunBatchCollect(f.actT, f.table, tc.pts, cells, f.polys, opt)
+			want.Duration = 0
+			if want.CacheHits == 0 {
+				t.Errorf("%s %+v: no run shared a walk", tc.name, opt)
+			}
+			for _, threads := range []int{2, 3, 4, 7} {
+				opt.Threads = threads
+				gotOut, got := RunBatchCollect(f.actT, f.table, tc.pts, cells, f.polys, opt)
+				got.Duration = 0
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %+v: result %+v, at 1 thread %+v", tc.name, opt, got, want)
+				}
+				if !reflect.DeepEqual(gotOut, wantOut) {
+					t.Errorf("%s %+v: collect output differs from 1 thread", tc.name, opt)
+				}
+				count := RunBatchCount(f.actT, f.table, tc.pts, cells, f.polys, opt)
+				count.Duration = 0
+				if !reflect.DeepEqual(count, want) {
+					t.Errorf("%s %+v: count result %+v, collect %+v", tc.name, opt, count, want)
+				}
+			}
+		}
 	}
 }
 

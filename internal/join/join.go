@@ -54,7 +54,7 @@ type Result struct {
 	Matched        int64 // points with at least one result pair
 	PIPTests       int64 // refinement tests performed (exact mode)
 	SolelyTrueHits int64 // points that never saw a candidate hit (paper's STH)
-	CacheHits      int64 // probes answered from the last-range cache (batch path)
+	CacheHits      int64 // probes that shared their run's trie walk (batch path)
 
 	Duration time.Duration
 }

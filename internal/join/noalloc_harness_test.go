@@ -24,11 +24,10 @@ func testAllocs(t *testing.T, name string, f func()) {
 	}
 }
 
-// TestNoAllocHarness is allocbound's dynamic cross-check: the bulk probe
-// loop runs under testing.AllocsPerRun over a packed sorted schedule, the
-// configuration the batch join uses in steady state. The
-// //act:alloc-harness marker is what `actvet` matches against the
-// annotated function.
+// TestNoAllocHarness is allocbound's dynamic cross-check: the probe loop
+// runs under testing.AllocsPerRun over one chunk of each schedule form —
+// packed, wide-key permutation and input order. The //act:alloc-harness
+// marker is what `actvet` matches against the annotated function.
 func TestNoAllocHarness(t *testing.T) {
 	leaf := cellid.FromPoint(geom.Point{X: -73.98, Y: 40.71})
 	tbl := refs.NewTable()
@@ -38,22 +37,39 @@ func TestNoAllocHarness(t *testing.T) {
 	}, act.Delta4)
 
 	// 1024 nearby leaves: distinct keys in a narrow range, so the radix
-	// sort produces the packed schedule probeSortedRuns consumes.
-	cells := make([]cellid.CellID, 1024)
-	for i := range cells {
-		cells[i] = cellid.CellID(uint64(leaf) + uint64(2*i))
+	// sort packs them.
+	near := make([]cellid.CellID, 1024)
+	for i := range near {
+		near[i] = cellid.CellID(uint64(leaf) + uint64(2*i))
 	}
-	ord := makeProbeOrder(cells, 0, 1)
-	if ord.packed == nil {
-		t.Fatal("probe order did not pack — harness input no longer matches the sorted path")
+	// 1024 leaves along a world diagonal: keys wider than 32 bits, so the
+	// sort falls back to a permutation.
+	wide := make([]cellid.CellID, 1024)
+	for i := range wide {
+		f := float64(i) / float64(len(wide))
+		wide[i] = cellid.FromPoint(geom.Point{X: 360*f - 180, Y: 180*f - 90})
 	}
-	b := &batchRun{idx: tr, ri: tr, table: tbl, ord: ord, n: len(cells)}
-	w := &batchWorker{local: local{counts: make([]int64, 4)}}
+	packed, perm := makeProbeOrder(near, 0, 1), makeProbeOrder(wide, 0, 1)
+	if packed.packed == nil || perm.perm == nil {
+		t.Fatal("harness inputs no longer produce the packed and permutation schedules")
+	}
+	for _, tc := range []struct {
+		name  string
+		cells []cellid.CellID
+		ord   probeOrder
+	}{
+		{"packed", near, packed},
+		{"perm", wide, perm},
+		{"input order", near, probeOrder{}},
+	} {
+		b := &batchRun{idx: tr, ri: tr, table: tbl, cells: tc.cells, ord: tc.ord, n: len(tc.cells)}
+		w := &batchWorker{local: local{counts: make([]int64, 4)}}
 
-	//act:alloc-harness batchRun.probeSortedRuns
-	testAllocs(t, "batchRun.probeSortedRuns", func() {
-		w.counts[3], w.sth, w.cacheHits, w.matched = 0, 0, 0, 0
-		b.probeSortedRuns(w)
-		allocSink += w.counts[3]
-	})
+		//act:alloc-harness batchRun.probeRuns
+		testAllocs(t, "batchRun.probeRuns "+tc.name, func() {
+			w.counts[3], w.sth, w.cacheHits, w.matched = 0, 0, 0, 0
+			b.probeRuns(w, 0, b.n)
+			allocSink += w.counts[3]
+		})
+	}
 }

@@ -72,8 +72,9 @@ type QueryOptions struct {
 	// Covers. When false, results match CoversApprox.
 	Exact bool
 	// Sorted probes the points in cell-id order internally, so runs of
-	// nearby points share trie paths and the last-cell cache. Results are
-	// always reported in input order.
+	// nearby points share trie paths and one walk per index cell; unsorted
+	// streams share a walk only among consecutive points of one cell.
+	// Results are always reported in input order.
 	Sorted bool
 	// Threads is the number of probe workers; 0 uses all CPUs, 1 runs
 	// single-threaded.
@@ -158,8 +159,9 @@ func (p *part) queryLeaf(gp geom.Point, leaf cellid.CellID, exact bool) []Polygo
 // CoversBatch answers many point queries in one call: out[i] holds the ids
 // of the polygons covering points[i] (nil when none), identical to calling
 // Covers (with opt.Exact) or CoversApprox per point, but through the batch
-// probe pipeline — optionally cell-id-sorted, last-cell-cached, and
-// parallelized with the paper's atomic-counter batching. With several shards
+// probe pipeline — optionally cell-id-sorted, one trie walk per run of
+// points in one index cell, and parallelized by workers claiming chunks of
+// the probe stream from an atomic counter. With several shards
 // the probe stream is radix-split into per-shard sub-streams (stable, so
 // results scatter back to input order) and the shards' pipelines run in
 // parallel, each with its share of the thread budget.
@@ -179,11 +181,11 @@ func (s *Snapshot) CoversBatch(points []Point, opt QueryOptions) [][]PolygonID {
 
 // JoinCount counts points per polygon through the batch probe pipeline:
 // Counts[pid] is the number of points covered by polygon pid, honoring
-// QueryOptions (exactness, sorted probing, last-cell caching, threads). The
-// returned CacheHits reports how many probes skipped the trie walk. With
-// several shards the probe-phase metrics are summed across shards; PIPTests
-// and CacheHits depend on per-shard probe order and cache locality, so
-// their values (not the Counts) can differ between shard counts.
+// QueryOptions (exactness, sorted probing, threads). The returned CacheHits
+// reports how many probes shared their run's trie walk. With several shards
+// the probe-phase metrics are summed across shards; CacheHits and PIPTests
+// depend on how the shards split the stream, so their values (not the
+// Counts) can differ between shard counts. They do not depend on Threads.
 func (s *Snapshot) JoinCount(points []Point, opt QueryOptions) JoinResult {
 	if len(s.parts) == 1 {
 		p := s.parts[0]
@@ -313,8 +315,8 @@ type JoinResult struct {
 	// STHPercent is the share of points answered without any candidate hit
 	// (the paper's "solely true hits" metric).
 	STHPercent float64
-	// CacheHits is the number of probes answered from the batch pipeline's
-	// last-cell cache without a trie walk.
+	// CacheHits is the number of probes that shared their run's trie walk
+	// in the batch pipeline instead of walking the trie themselves.
 	CacheHits int64
 	// Duration is the probe-phase wall time.
 	Duration time.Duration
