@@ -25,7 +25,11 @@ type Point struct {
 // Ring is a closed polygon ring; the closing vertex must not be repeated.
 type Ring []Point
 
-// Polygon is an area with an exterior ring and optional holes.
+// Polygon is an area with an exterior ring and optional holes. Rings are
+// read in planar lon/lat: an edge joins its two vertices by the straight
+// segment in that plane, never across the antimeridian. A ring with
+// vertices at lon 179 and -179 therefore spans the long way round, through
+// lon 0; split a ring that should cross the antimeridian at lon ±180.
 type Polygon struct {
 	Exterior Ring
 	Holes    []Ring
@@ -206,7 +210,9 @@ type ShardTx = Tx
 // NewIndex builds a one-shard index over the polygons and publishes its
 // first snapshot: NewShardedIndex(polygons, 1, opts...). Polygon ids are
 // slice positions. The build computes per-polygon coverings, merges them
-// into the super covering and freezes the Adaptive Cell Trie.
+// into the super covering and freezes the Adaptive Cell Trie. Rings are
+// read in planar lon/lat (see Polygon), so a ring with vertices at lon 179
+// and -179 spans the long way round; it is indexed as such, not rejected.
 func NewIndex(polygons []Polygon, opts ...Option) (*Index, error) {
 	return NewShardedIndex(polygons, 1, opts...)
 }

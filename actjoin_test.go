@@ -73,6 +73,28 @@ func TestCoversExact(t *testing.T) {
 	}
 }
 
+// TestAntimeridianRingIsPlanar pins the documented ring rule: vertices are
+// read in planar lon/lat, so a ring with vertices at lon 179 and -179 spans
+// the long way round, through lon 0, not across the antimeridian.
+func TestAntimeridianRingIsPlanar(t *testing.T) {
+	idx, err := NewIndex([]Polygon{{Exterior: Ring{{179, -10}, {-179, -10}, {-179, 10}, {179, 10}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := idx.Current()
+	pts := []Point{{0, 5}, {179.9, 5}}
+	want := []int{1, 0}
+	for i, p := range pts {
+		if got := len(snap.Covers(p)); got != want[i] {
+			t.Errorf("Covers(%v) reports %d polygons, want %d", p, got, want[i])
+		}
+		one := snap.JoinCount(pts[i:i+1], QueryOptions{Exact: true})
+		if got := one.Counts[0]; got != int64(want[i]) {
+			t.Errorf("JoinCount([%v]) = %d, want %d", p, got, want[i])
+		}
+	}
+}
+
 func TestPrecisionBoundMode(t *testing.T) {
 	idx, err := NewIndex(testPolygons(), WithPrecision(15))
 	if err != nil {

@@ -414,8 +414,13 @@ func (t *Tree) Find(leaf cellid.CellID) refs.Entry {
 // leaf over which that answer stays valid. The range is the extent of the
 // cell whose slot terminated the walk — a value slot (the indexed
 // super-covering cell after key extension) or a sentinel slot (a false-hit
-// gap at that band). Callers probing a cell-id-sorted point stream can skip
-// the tree walk entirely while successive leaves stay inside [lo, hi].
+// gap at that band) — widened one level, to the slot cell's parent, when
+// the slot's aligned quad of four sibling slots all hold the same entry
+// (the key-extension replicas of one coarser cell, or equal neighbours).
+// The range is therefore at most one quad wider than the slot and may be
+// narrower than an indexed cell extended by more than one level. Callers
+// probing a cell-id-sorted point stream can skip the tree walk entirely
+// while successive leaves stay inside [lo, hi].
 //
 //act:hotpath
 func (t *Tree) FindRange(leaf cellid.CellID) (refs.Entry, cellid.CellID, cellid.CellID) {
@@ -440,10 +445,24 @@ func (t *Tree) FindRange(leaf cellid.CellID) (refs.Entry, cellid.CellID, cellid.
 	cur := int(ft.root)
 	level := ft.prefixLevels + ft.rootSpan
 	for {
-		e := t.entries[cur*t.fanout+int((path>>shift)&mask)]
+		idx := cur*t.fanout + int((path>>shift)&mask)
+		e := t.entries[idx]
 		if e&3 != 0 || e == 0 {
-			anc := leaf.Parent(level)
-			return refs.Entry(e), anc.RangeMin(), anc.RangeMax()
+			// m masks the leaf-id bits below the slot cell's level: the
+			// cell is [leaf&^m | 1, leaf|m]. The aligned quad holding idx
+			// is the four children of the slot cell's parent, and it
+			// shares idx's cache line (node bases are multiples of the
+			// fanout). When all four carry e, the answer holds over the
+			// parent, whose mask is two bits wider. Selecting the mask
+			// rather than the level keeps the quad loads one conditional
+			// move away from lo and hi, which the caller's run scan waits on.
+			m := uint64(1)<<uint(2*(cellid.MaxLevel-level)+1) - 1
+			b := idx &^ 3
+			q := t.entries[b : b+4 : b+4]
+			if (q[0]^e)|(q[1]^e)|(q[2]^e)|(q[3]^e) == 0 {
+				m = m<<2 | 3
+			}
+			return refs.Entry(e), cellid.CellID(uint64(leaf)&^m | 1), cellid.CellID(uint64(leaf) | m)
 		}
 		cur = int(e>>2) - 1
 		shift -= t.span

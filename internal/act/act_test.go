@@ -473,3 +473,235 @@ func TestFindRangeRunSkipsWalks(t *testing.T) {
 			lo, hi, cell.RangeMin(), cell.RangeMax())
 	}
 }
+
+// findRangeRef is the unwidened FindRange: the range it reports is exactly
+// the extent of the slot that terminated the walk, never its parent's. It is
+// the oracle FuzzFindRange checks the quad widening against.
+func findRangeRef(t *Tree, leaf cellid.CellID) (refs.Entry, cellid.CellID, cellid.CellID) {
+	face := int(uint64(leaf) >> 61)
+	ft := &t.faces[face]
+	if ft.root < 0 {
+		fc := cellid.FaceCell(face)
+		return refs.FalseHit, fc.RangeMin(), fc.RangeMax()
+	}
+	path := uint64(leaf) << 3
+	if ft.prefixLevels > 0 {
+		if path>>(64-uint(2*ft.prefixLevels)) != ft.prefixBits {
+			anc := leaf.Parent(ft.prefixLevels)
+			return refs.FalseHit, anc.RangeMin(), anc.RangeMax()
+		}
+	}
+	shift := ft.firstShift
+	mask := ft.firstMask
+	fullMask := uint64(t.fanout - 1)
+	cur := int(ft.root)
+	level := ft.prefixLevels + ft.rootSpan
+	for {
+		e := t.entries[cur*t.fanout+int((path>>shift)&mask)]
+		if e&3 != 0 || e == 0 {
+			anc := leaf.Parent(level)
+			return refs.Entry(e), anc.RangeMin(), anc.RangeMax()
+		}
+		cur = int(e>>2) - 1
+		shift -= t.span
+		mask = fullMask
+		level += t.delta
+	}
+}
+
+// checkRange fails unless FindRange(leaf) reports entry want over exactly
+// the extent of cell.
+func checkRange(t *testing.T, tr *Tree, leaf cellid.CellID, want refs.Entry, cell cellid.CellID, what string) {
+	t.Helper()
+	e, lo, hi := tr.FindRange(leaf)
+	if e != want {
+		t.Errorf("%s: entry %#x, want %#x", what, e, want)
+	}
+	if lo != cell.RangeMin() || hi != cell.RangeMax() {
+		t.Errorf("%s: range [%v, %v], want the level-%d cell [%v, %v]",
+			what, lo, hi, cell.Level(), cell.RangeMin(), cell.RangeMax())
+	}
+}
+
+// TestFindRangeCoversExtendedQuad: a slot whose aligned quad holds one entry
+// reports the quad's parent cell, so a cell stored as four key-extension
+// replicas is one range; a coarser cell is capped at one quad.
+func TestFindRangeCoversExtendedQuad(t *testing.T) {
+	const L = 12 // the anchor: a band boundary for delta 4
+	leaf := cellid.FromPoint(geom.Point{X: -73.98, Y: 40.71})
+	base := leaf.Parent(L - 3)
+	anchor := base.Child(0).Child(0).Child(0) // level L: one slot
+	up1 := base.Child(1).Child(2)             // level L-1: 4 replicas
+	up2 := base.Child(2)                      // level L-2: 16 replicas
+	tbl := refs.NewTable()
+	ea := tbl.Encode([]refs.Ref{refs.MakeRef(1, true)})
+	e1 := tbl.Encode([]refs.Ref{refs.MakeRef(2, true)})
+	e2 := tbl.Encode([]refs.Ref{refs.MakeRef(3, false)})
+	tr := Build([]cellindex.KeyEntry{
+		{Key: anchor, Entry: ea}, {Key: up1, Entry: e1}, {Key: up2, Entry: e2},
+	}, Delta4)
+	if tr.NumValueSlots() != 1+4+16 {
+		t.Fatalf("NumValueSlots = %d, want 21", tr.NumValueSlots())
+	}
+
+	checkRange(t, tr, anchor.RangeMin(), ea, anchor, "level-L cell beside empty slots")
+	for _, c := range up1.Children() {
+		checkRange(t, tr, c.RangeMax(), e1, up1, "level-(L-1) cell")
+	}
+	// The level-(L-2) cell spans four quads; each reports its own quad.
+	for _, q := range up2.Children() {
+		for _, c := range q.Children() {
+			checkRange(t, tr, c.RangeMin()+2, e2, q, "level-(L-2) cell, capped at one quad")
+		}
+	}
+	// A quad of four empty slots is one false-hit gap at level L-1.
+	gap := base.Child(3).Child(1)
+	checkRange(t, tr, gap.Child(3).RangeMin(), refs.FalseHit, gap, "empty quad")
+	// An empty slot beside indexed siblings keeps its own level-L extent.
+	lone := anchor.ImmediateParent().Child(1)
+	checkRange(t, tr, lone.RangeMin(), refs.FalseHit, lone, "empty slot beside a value")
+
+	t.Run("delta1", func(t *testing.T) {
+		// At delta 1 the quad is the whole node: four equal siblings widen
+		// to their parent, unequal ones keep their own cell.
+		p := leaf.Parent(14)
+		kids := p.Children()
+		var kvs []cellindex.KeyEntry
+		for _, k := range kids {
+			kvs = append(kvs, cellindex.KeyEntry{Key: k, Entry: e1})
+		}
+		tr := Build(kvs, Delta1)
+		for _, k := range kids {
+			checkRange(t, tr, k.RangeMax(), e1, p, "four equal siblings")
+		}
+		kvs[2].Entry = e2
+		tr = Build(kvs, Delta1)
+		checkRange(t, tr, kids[0].RangeMin(), e1, kids[0], "unequal siblings")
+		checkRange(t, tr, kids[2].RangeMin(), e2, kids[2], "unequal siblings")
+	})
+
+	t.Run("narrow root band", func(t *testing.T) {
+		// Level-1 and level-5 cells anchor the bands at 5, 1 for delta 4:
+		// the root band (0, 1] is one level wide, so its quad is the four
+		// children of the face.
+		face := cellid.FaceCell(4)
+		deep := face.Child(3).Child(0).Child(0).Child(0).Child(0) // level 5
+		mid := face.Child(3).Child(1).Child(2)                    // level 3: 16 replicas
+		kvs := []cellindex.KeyEntry{
+			{Key: face.Child(0), Entry: e1}, {Key: face.Child(1), Entry: e1}, {Key: face.Child(2), Entry: e1},
+			{Key: deep, Entry: ea}, {Key: mid, Entry: e2},
+		}
+		tr := Build(kvs, Delta4)
+		if ft := tr.faces[4]; ft.rootSpan != 1 || ft.prefixLevels != 0 {
+			t.Fatalf("layout: rootSpan %d prefix %d, want 1 and 0", ft.rootSpan, ft.prefixLevels)
+		}
+		// The fourth root slot holds a child pointer: no widening.
+		checkRange(t, tr, face.Child(1).RangeMax(), e1, face.Child(1), "root slot beside a pointer")
+		// The level-3 cell has 16 level-5 replicas: each quad is one level-4 cell.
+		for _, q := range mid.Children() {
+			checkRange(t, tr, q.Child(1).RangeMin(), e2, q, "replicas under a narrow root")
+		}
+		checkRange(t, tr, deep.RangeMin(), ea, deep, "level-5 cell")
+
+		// With all four level-1 cells equal, the range is the whole face.
+		kvs = []cellindex.KeyEntry{
+			{Key: face.Child(0), Entry: e1}, {Key: face.Child(1), Entry: e1},
+			{Key: face.Child(2), Entry: e1}, {Key: face.Child(3), Entry: e1},
+		}
+		tr = Build(kvs, Delta4)
+		if ft := tr.faces[4]; ft.rootSpan != 1 {
+			t.Fatalf("layout: rootSpan %d, want 1", ft.rootSpan)
+		}
+		checkRange(t, tr, face.Child(2).RangeMin(), e1, face, "four equal root slots")
+	})
+}
+
+// findRangeFixture is one tree FuzzFindRange probes, with the cell set it
+// indexes (the fuzzer aims most leaves near those cells).
+type findRangeFixture struct {
+	name string
+	tr   *Tree
+	kvs  []cellindex.KeyEntry
+}
+
+// findRangeFixtures returns the test covering at delta 1, 2 and 4, and a
+// delta-4 tree derived from it by a chain of patches that left orphans.
+func findRangeFixtures(t testing.TB) []findRangeFixture {
+	kvs, _, _ := buildTestCovering(t)
+	var out []findRangeFixture
+	for _, delta := range []int{Delta1, Delta2, Delta4} {
+		out = append(out, findRangeFixture{"covering", Build(kvs, delta), kvs})
+	}
+	rng := rand.New(rand.NewSource(41))
+	tbl := refs.NewTable()
+	cur := Build(kvs, Delta4)
+	state := kvs
+	for step := 0; step < 8; step++ {
+		k := state[rng.Intn(len(state))].Key
+		root := k.Parent(k.Level() - rng.Intn(3))
+		regions := []PatchRegion{{Root: root, KVs: randomCellsUnder(rng, tbl, root, 30)}}
+		nextState := applyRegions(state, regions)
+		next, ok := cur.Patch(regions, len(nextState))
+		if !ok {
+			continue
+		}
+		cur, state = next, nextState
+	}
+	if cur.OrphanNodes() == 0 {
+		t.Fatal("patch chain left no orphans")
+	}
+	return append(out, findRangeFixture{"patched", cur, state})
+}
+
+// rangeCell returns the cell whose leaf range is [lo, hi].
+func rangeCell(lo, hi cellid.CellID) cellid.CellID { return lo + (hi-lo)/2 }
+
+// FuzzFindRange checks FindRange against the unwidened findRangeRef and
+// Find: same entry, a range that contains the reference range and stays
+// within its parent, and the entry holds at the range's ends, middle and
+// every child of the reported cell.
+func FuzzFindRange(f *testing.F) {
+	fixtures := findRangeFixtures(f)
+	f.Fuzz(func(t *testing.T, sel uint8, pick uint16, off uint64) {
+		fx := fixtures[int(sel)%len(fixtures)]
+		var leaf cellid.CellID
+		if pick&0x8000 != 0 {
+			// Anywhere on the sphere.
+			face := (off >> 61) % cellid.NumFaces
+			leaf = cellid.CellID(face<<61 | off&(1<<61-1) | 1)
+		} else {
+			// Near an indexed cell: inside its level-2 ancestor.
+			k := fx.kvs[int(pick)%len(fx.kvs)].Key
+			w := k.Parent(max(k.Level()-2, 0))
+			n := uint64(w.RangeMax()-w.RangeMin())/2 + 1
+			leaf = w.RangeMin() + cellid.CellID(off%n*2)
+		}
+		e, lo, hi := fx.tr.FindRange(leaf)
+		re, rlo, rhi := findRangeRef(fx.tr, leaf)
+		if e != re || e != fx.tr.Find(leaf) {
+			t.Fatalf("%s δ%d: FindRange(%v) = %#x, reference %#x, Find %#x",
+				fx.name, fx.tr.Delta(), leaf, e, re, fx.tr.Find(leaf))
+		}
+		ref := rangeCell(rlo, rhi)
+		outer := ref
+		if ref.Level() > 0 {
+			outer = ref.ImmediateParent()
+		}
+		if lo > rlo || hi < rhi || lo < outer.RangeMin() || hi > outer.RangeMax() {
+			t.Fatalf("%s δ%d: FindRange(%v) range [%v, %v] not between the slot %v and its parent %v",
+				fx.name, fx.tr.Delta(), leaf, lo, hi, ref, outer)
+		}
+		probes := []cellid.CellID{lo, hi, lo + (hi-lo)/2 | 1}
+		if c := rangeCell(lo, hi); !c.IsLeaf() {
+			for _, q := range c.Children() {
+				probes = append(probes, q.RangeMin(), q.RangeMax())
+			}
+		}
+		for _, p := range probes {
+			if got := fx.tr.Find(p); got != e {
+				t.Fatalf("%s δ%d: FindRange(%v) = %#x over [%v, %v], but Find(%v) = %#x",
+					fx.name, fx.tr.Delta(), leaf, e, lo, hi, p, got)
+			}
+		}
+	})
+}

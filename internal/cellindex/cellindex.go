@@ -16,9 +16,12 @@ import (
 
 // RangeIndex is optionally implemented by physical structures that can
 // report, along with a probe answer, the contiguous leaf-id range over which
-// that answer stays valid (the extent of the cell — or false-hit gap — the
-// probe resolved to). Batch joins use it to answer runs of points falling in
-// the same cell without repeating the structure walk.
+// that answer stays valid: the extent of the cell — or false-hit gap — the
+// probe resolved to, which may be one quad wider than the indexed slot when
+// the neighbouring slots hold the same answer (ACT reports the slot cell's
+// parent when all four of its children carry one entry). Batch joins use it
+// to answer runs of points falling in the same cell without repeating the
+// structure walk.
 type RangeIndex interface {
 	Index
 	// FindRange returns Find(leaf) plus the inclusive leaf-id range

@@ -11,7 +11,10 @@
 //     walk the same trie path and touch the same node cache lines.
 //  2. A run of consecutive probes falling into the validity range of one
 //     index cell (cellindex.RangeIndex) — or of one false-hit gap — costs
-//     one trie walk and one entry decode for the whole run. Runs are
+//     one trie walk and one entry decode for the whole run. That range may
+//     be one quad wider than the trie slot the walk ended on, so a cell
+//     stored as four key-extension replicas is one run, not four; a cell
+//     extended further is one run per quad of replicas. Runs are
 //     maximal only for index cells that span whole sort buckets: keys
 //     inside one 2^bucketShift bucket stay unordered, so the points of a
 //     cell finer than a bucket can be interleaved with their neighbours'

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"actjoin/internal/act"
 	"actjoin/internal/cellid"
 	"actjoin/internal/cellindex"
 	"actjoin/internal/geom"
@@ -190,6 +191,65 @@ func TestBatchSameResultAtEveryThreadCount(t *testing.T) {
 				if !reflect.DeepEqual(count, want) {
 					t.Errorf("%s %+v: count result %+v, collect %+v", tc.name, opt, count, want)
 				}
+			}
+		}
+	}
+}
+
+// TestBatchRunSpansExtendedCell: a sorted stream inside one index cell that
+// key extension stores as a quad of replica slots costs one walk per chunk,
+// not one per replica.
+func TestBatchRunSpansExtendedCell(t *testing.T) {
+	leaf := cellid.FromPoint(geom.Point{X: -73.98, Y: 40.71})
+	const anchor = 16 // a band boundary for delta 4
+	cell := leaf.Parent(anchor - 1)
+	other := leaf.Parent(anchor - 2).Child((leaf.ChildPosition(anchor-1) + 1) % 4).Child(0)
+	table := refs.NewTable()
+	entry := table.Encode([]refs.Ref{refs.MakeRef(0, false)})
+	kvs := []cellindex.KeyEntry{{Key: cell, Entry: entry}, {Key: other, Entry: entry}}
+	if kvs[0].Key > kvs[1].Key {
+		kvs[0], kvs[1] = kvs[1], kvs[0]
+	}
+	idx := act.Build(kvs, act.Delta4)
+	if idx.NumValueSlots() != 4+1 {
+		t.Fatalf("NumValueSlots = %d, want 5: the level-%d cell must be 4 replicas", idx.NumValueSlots(), anchor-1)
+	}
+
+	// The polygon covers the western half of the cell, so exact mode
+	// refines every point and some points miss.
+	b := cell.Bound()
+	midX := (b.Lo.X + b.Hi.X) / 2
+	polys := []*geom.Polygon{geom.MustPolygon(geom.Ring{
+		{X: b.Lo.X - 1, Y: b.Lo.Y - 1}, {X: midX, Y: b.Lo.Y - 1}, {X: midX, Y: b.Hi.Y + 1}, {X: b.Lo.X - 1, Y: b.Hi.Y + 1},
+	})}
+	n := 3*chunkSize + 17
+	rng := rand.New(rand.NewSource(5))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{
+			X: b.Lo.X + (0.01+0.98*rng.Float64())*b.Width(),
+			Y: b.Lo.Y + (0.01+0.98*rng.Float64())*b.Height(),
+		}
+	}
+	cells := make([]cellid.CellID, n)
+	cellid.FromPoints(cells, pts)
+	for _, c := range cells {
+		if !cell.Contains(c) {
+			t.Fatalf("point cell %v outside the index cell %v", c, cell)
+		}
+	}
+
+	wantHits := int64(n - (n+chunkSize-1)/chunkSize)
+	for _, mode := range []Mode{Approximate, Exact} {
+		want := Run(idx, table, pts, cells, polys, Options{Mode: mode})
+		for _, threads := range []int{1, 2, 4} {
+			opt := BatchOptions{Mode: mode, Sorted: true, Threads: threads}
+			got := RunBatchCount(idx, table, pts, cells, polys, opt)
+			if got.CacheHits != wantHits {
+				t.Errorf("%+v: CacheHits = %d, want %d (one walk per chunk)", opt, got.CacheHits, wantHits)
+			}
+			if !reflect.DeepEqual(got.Counts, want.Counts) {
+				t.Errorf("%+v: counts %v, per-point Run %v", opt, got.Counts, want.Counts)
 			}
 		}
 	}
