@@ -108,14 +108,29 @@ func compactorBackoff(base time.Duration, attempt int) time.Duration {
 type quarantine struct{ cause error }
 
 // compactionArenaHeadroom returns the spare node capacity a freshly built
-// compaction arena reserves so the first patches after the swap append
-// without a whole-arena growth copy (act.Build sizes arenas exactly).
-func compactionArenaHeadroom(arenaNodes int) int {
+// compaction arena of arenaNodes nodes reserves (act.Build sizes arenas
+// exactly). The arena serves every patch until the next compaction lands,
+// and an append past its capacity would copy the whole arena on the writer.
+// Those patches come in two stretches:
+//
+//   - Up to the soft threshold. Each patch orphans about as many nodes as
+//     it appends, and GarbageRatio is orphaned over all arena nodes, so the
+//     ratio passes arenaMaxGarbageFraction f after about N·f/(1−f) appended
+//     nodes: N/3 at f = 1/4. The replay that lands this arena is part of
+//     that stretch, since its copies count as garbage too.
+//   - While the next compaction builds. Nothing bounds that growth ahead of
+//     time (short of the hard cap), so it is estimated from observed
+//     traffic: flightNodes, the nodes the writer appended to the live chain
+//     while this compaction built. The growth varies by about half from one
+//     build to the next, so twice the observation is reserved.
+//
+// When a build outruns the estimate anyway, the patch that would grow the
+// arena is refused (PatchInCapacity) and the writer lands the in-flight
+// compaction instead, so the arena is replaced only by a landing.
+func compactionArenaHeadroom(arenaNodes, flightNodes int) int {
 	const minHeadroom = 1 << 10
-	if h := arenaNodes / 8; h > minHeadroom {
-		return h
-	}
-	return minHeadroom
+	soft := int(float64(arenaNodes) * arenaMaxGarbageFraction / (1 - arenaMaxGarbageFraction))
+	return max(minHeadroom, soft+2*max(flightNodes, 0))
 }
 
 // compaction is one in-flight background compaction. The goroutine owns
@@ -201,10 +216,12 @@ func (c *compaction) addReplay(roots []cellid.CellID, all bool) {
 // headroom). It reads only immutable state — the rope's cells and their
 // normalized reference lists are shared with published snapshots and are
 // never written — so it is safe to run concurrently with readers of any
-// snapshot and with the writer patching the old chain. cancel (optional)
-// is polled between phases so an abandoned build stops burning CPU;
-// a cancelled build returns nil.
-func compactBase(base *part, cancel *atomic.Bool) *compactResult {
+// snapshot and with the writer patching the old chain. live is the shard's
+// published snapshot, read once at the end to size the headroom by how far
+// the writer's chain grew past base meanwhile. cancel (optional) is polled
+// between phases so an abandoned build stops burning CPU; a cancelled build
+// returns nil.
+func compactBase(base *part, live *atomic.Pointer[Snapshot], cancel *atomic.Bool) *compactResult {
 	cancelled := func() bool { return cancel != nil && cancel.Load() }
 	cells := base.cells.appendAll(make([]supercover.Cell, 0, base.cells.Len()))
 	if cancelled() {
@@ -216,7 +233,13 @@ func compactBase(base *part, cancel *atomic.Bool) *compactResult {
 		return nil
 	}
 	tree := act.Build(kvs, base.opt.delta)
-	tree.GrowArena(compactionArenaHeadroom(tree.ArenaNodes()))
+	flight := 0
+	if cur := live.Load(); cur != nil {
+		// Meaningless if an inline rebuild replaced the chain meanwhile,
+		// but that rebuild also abandoned this compaction.
+		flight = cur.parts[0].tree.ArenaNodes() - base.tree.ArenaNodes()
+	}
+	tree.GrowArena(compactionArenaHeadroom(tree.ArenaNodes(), flight))
 	return &compactResult{cells: ropeFromCells(cells), tree: tree, enc: enc}
 }
 
@@ -227,7 +250,7 @@ func compactBase(base *part, cancel *atomic.Bool) *compactResult {
 // a nil error when the build observed cancellation and stopped early.
 //
 //act:seam
-func buildCompaction(c *compaction) (res *compactResult, err error) {
+func buildCompaction(c *compaction, live *atomic.Pointer[Snapshot]) (res *compactResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("compaction build panicked: %v", r)
@@ -236,7 +259,7 @@ func buildCompaction(c *compaction) (res *compactResult, err error) {
 	if err := fault.Hit(fault.CompactBuild); err != nil {
 		return nil, err
 	}
-	return compactBase(c.base, &c.cancel), nil
+	return compactBase(c.base, live, &c.cancel), nil
 }
 
 // startCompactionLocked launches a background compaction from base (the
@@ -276,7 +299,7 @@ func (sh *shard) runCompaction(c *compaction, hold chan struct{}, retryBase time
 	var res *compactResult
 	for attempt := 0; ; attempt++ {
 		var err error
-		res, err = buildCompaction(c)
+		res, err = buildCompaction(c, &sh.cur)
 		if res != nil || c.cancel.Load() {
 			break
 		}

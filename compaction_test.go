@@ -481,3 +481,66 @@ func TestPoisonedReplayFallsBackInline(t *testing.T) {
 	probes := randPoints(rng, 100)
 	assertSnapshotsEqual(t, "after poisoned replay", ix.Current(), fullFreeze(ix), probes)
 }
+
+// TestPatchesDoNotGrowCompactedArena drives single-square Add/Remove churn
+// on a 4 m index through several background compaction cycles and checks
+// that, once a compaction has landed, the trie arena's backing array is
+// replaced only when another compaction lands, never by a patch: each
+// fresh arena reserves headroom for the patches up to the soft threshold
+// and for the traffic observed while it was built, and a patch that would
+// still outgrow it waits for the in-flight compaction instead of copying
+// the arena. (The arena NewIndex builds is sized exactly, so read-only
+// indexes pay for no headroom; its first patch grows it.)
+func TestPatchesDoNotGrowCompactedArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	polys := make([]Polygon, 120)
+	for i := range polys {
+		polys[i] = randSquare(rng)
+	}
+	ix, err := NewIndex(polys, WithPrecision(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	sh := ix.shards[0]
+	// arena reads the published arena's capacity together with the number
+	// of compactions landed and full rebuilds made, under the writer mutex
+	// that every landing holds while it swaps its snapshot in.
+	arena := func() (capNodes, replacements int) {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.cur.Load().parts[0].tree.ArenaCapNodes(), sh.compactionsLanded + sh.full
+	}
+	squares := make([]Polygon, 16)
+	for i := range squares {
+		squares[i] = square(diffBound.lox+rng.Float64()*diffBound.w, diffBound.loy+rng.Float64()*diffBound.h, 0.002)
+	}
+	capNodes, replaced := arena()
+	landedAt := -1
+	for i := 0; landedAt < 0 || sh.publishStats().CompactionsLanded < landedAt+3; i++ {
+		if i == 20000 {
+			t.Fatalf("%d publishes landed only %+v", 2*i, sh.publishStats())
+		}
+		id, err := ix.Add(squares[i%len(squares)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, r := arena()
+		if err := ix.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		c2, r2 := arena()
+		for _, s := range [][2]int{{c, r}, {c2, r2}} {
+			if landedAt >= 0 && s[0] != capNodes && s[1] == replaced {
+				t.Fatalf("publish %d: a patch grew the arena from %d to %d nodes (%+v)", 2*i, capNodes, s[0], sh.publishStats())
+			}
+			capNodes, replaced = s[0], s[1]
+		}
+		if landedAt < 0 && replaced > 1 {
+			landedAt = sh.publishStats().CompactionsLanded
+		}
+	}
+	if st := sh.publishStats(); st.Full != 1 {
+		t.Fatalf("churn fell back to %d inline rebuilds: %+v", st.Full-1, st)
+	}
+}

@@ -78,10 +78,12 @@ type Tree struct {
 	numNodes int
 	faces    [cellid.NumFaces]faceTree
 
-	numCells     int // indexed super-covering cells (before key extension)
-	numExtended  int // value slots written (after key extension)
-	maxCellLevel int // deepest indexed cell level across faces
-	garbage      int // arena slots orphaned by Patch (unreachable nodes)
+	numCells     int  // indexed super-covering cells (before key extension)
+	numExtended  int  // value slots written (after key extension)
+	maxCellLevel int  // deepest indexed cell level across faces
+	garbage      int  // arena slots orphaned by Patch (unreachable nodes)
+	reserved     bool // GrowArena reserved the arena's spare capacity; patches keep the mark
+	fixedArena   bool // set only while PatchInCapacity patches a reserved arena: newNode must not grow it
 
 	// Ablation switches (see BuildOptions).
 	disablePrefix    bool
@@ -303,6 +305,9 @@ func (t *Tree) countFaceNodes(kvs []cellindex.KeyEntry, offset, re int) int {
 // newNode appends a zeroed node to the arena and returns its index. Zero
 // slots are the sentinel (false hit), so no initialization is needed.
 func (t *Tree) newNode() int32 {
+	if t.fixedArena && cap(t.entries)-len(t.entries) < t.fanout {
+		panic(errArenaFull)
+	}
 	idx := int32(t.numNodes)
 	t.numNodes++
 	t.entries = append(t.entries, make([]uint64, t.fanout)...)
@@ -539,6 +544,11 @@ func (t *Tree) NumValueSlots() int { return t.numExtended }
 // tree). Probes never distinguish leaf ids below this level, so batch joins
 // sort their probe streams only down to it.
 func (t *Tree) MaxCellLevel() int { return t.maxCellLevel }
+
+// ArenaCapNodes returns how many nodes the arena's backing array holds,
+// spare capacity included. It changes only when the array is replaced: by
+// a growth copy in Patch, or by a new Build.
+func (t *Tree) ArenaCapNodes() int { return cap(t.entries) / t.fanout }
 
 // SizeBytes returns the arena footprint (8 bytes per slot, as in the
 // paper's size accounting). After Patch it includes orphaned nodes; see

@@ -24,6 +24,8 @@
 package act
 
 import (
+	"errors"
+
 	"actjoin/internal/cellid"
 	"actjoin/internal/cellindex"
 	"actjoin/internal/fault"
@@ -46,9 +48,41 @@ type PatchRegion struct {
 // ok is false when the regions cannot be expressed in t's frozen layout;
 // the caller must fall back to a full Build. Patches must be chained
 // linearly (each from the latest tree), which the publish mutex guarantees.
+// When the arena's spare capacity runs out, the append that needs more
+// reallocates it: nt gets a copy of the whole arena, and t keeps the old one.
+func (t *Tree) Patch(regions []PatchRegion, totalCells int) (nt *Tree, ok bool) {
+	return t.patch(regions, totalCells, false)
+}
+
+// PatchInCapacity is Patch that never reallocates an arena GrowArena
+// reserved: a patch that needs more nodes than such an arena's spare
+// capacity is refused with ok=false, like a layout refusal. Its writes up
+// to that point are appends past t's length that no tree can reach,
+// overwritten by the next patch. A caller that has a fresh arena on the way
+// (a compaction in flight) can wait for it instead of paying for a growth
+// copy of the old one. On an arena sized exactly by Build, whose owner
+// reserved nothing, it is Patch.
+func (t *Tree) PatchInCapacity(regions []PatchRegion, totalCells int) (nt *Tree, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != errArenaFull {
+				panic(r)
+			}
+			nt, ok = nil, false
+		}
+	}()
+	return t.patch(regions, totalCells, true)
+}
+
+// errArenaFull is the panic value newNode raises in a fixed-capacity patch
+// whose arena has no room for another node; PatchInCapacity recovers it.
+var errArenaFull = errors.New("act: patch needs more nodes than the arena's capacity")
+
+// patch implements Patch and PatchInCapacity; fixed forbids growing a
+// reserved arena.
 //
 //act:seam
-func (t *Tree) Patch(regions []PatchRegion, totalCells int) (nt *Tree, ok bool) {
+func (t *Tree) patch(regions []PatchRegion, totalCells int, fixed bool) (nt *Tree, ok bool) {
 	// Injected faults surface as a layout refusal — the failure mode every
 	// caller already falls back from. The point sits before any validation
 	// or write, so a refusal here leaves the arena untouched like any other.
@@ -126,6 +160,8 @@ func (t *Tree) Patch(regions []PatchRegion, totalCells int) (nt *Tree, ok bool) 
 		numExtended:      t.numExtended,
 		maxCellLevel:     t.maxCellLevel,
 		garbage:          t.garbage,
+		reserved:         t.reserved,
+		fixedArena:       fixed && t.reserved,
 		disablePrefix:    t.disablePrefix,
 		disableAnchoring: t.disableAnchoring,
 	}
@@ -151,6 +187,7 @@ func (t *Tree) Patch(regions []PatchRegion, totalCells int) (nt *Tree, ok bool) 
 			nt.insert(ft, kv.Key, kv.Entry)
 		}
 	}
+	nt.fixedArena = false
 	return nt, true
 }
 
@@ -164,11 +201,16 @@ func (t *Tree) Patch(regions []PatchRegion, totalCells int) (nt *Tree, ok bool) 
 // reallocation keeps the first post-compaction publish as cheap as every
 // other patch — the whole point of compacting off the critical path — and it
 // never orphans concurrently-held frozen views, which retain the arena they
-// were built over.
+// were built over. The reservation marks the arena: PatchInCapacity on this
+// tree, or on any tree patched from it, never grows it.
 //
 //act:seam
 func (t *Tree) GrowArena(extraNodes int) {
-	if extraNodes <= 0 || cap(t.entries)-len(t.entries) >= extraNodes*t.fanout {
+	if extraNodes <= 0 {
+		return
+	}
+	t.reserved = true
+	if cap(t.entries)-len(t.entries) >= extraNodes*t.fanout {
 		return
 	}
 	fault.MustHit(fault.ArenaGrow)

@@ -178,6 +178,65 @@ func compareProbes(t *testing.T, rng *rand.Rand, got, want *Tree, kvs []cellinde
 	}
 }
 
+// TestPatchInCapacity: on a reserved arena a fixed-capacity patch either
+// fits the spare capacity, keeps the backing array and equals Patch probe
+// for probe, or is refused without touching its input tree, and Patch on
+// the same input then grows the arena. On an exact Build arena it grows
+// like Patch.
+func TestPatchInCapacity(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	tbl := refs.NewTable()
+	var kvs []cellindex.KeyEntry
+	for len(kvs) < 50 {
+		kvs = randomDisjointCells(rng, 200)
+	}
+	cur := Build(kvs, Delta2)
+	root := pickRegionRoot(rng, kvs)
+	regions := []PatchRegion{{Root: root, KVs: randomCellsUnder(rng, tbl, root, 20)}}
+	if nt, ok := cur.PatchInCapacity(regions, len(applyRegions(kvs, regions))); !ok || nt.ArenaCapNodes() == cur.ArenaCapNodes() {
+		t.Fatalf("PatchInCapacity on an exact arena: ok %v, capacity %d nodes before and after", ok, cur.ArenaCapNodes())
+	}
+	cur.GrowArena(8)
+	state := append([]cellindex.KeyEntry(nil), kvs...)
+	fitted, refused := 0, 0
+	for step := 0; step < 60; step++ {
+		root := pickRegionRoot(rng, state)
+		regions := []PatchRegion{{Root: root, KVs: randomCellsUnder(rng, tbl, root, 20)}}
+		next := applyRegions(state, regions)
+		arena, capNodes := cur.ArenaNodes(), cur.ArenaCapNodes()
+		fixed, ok := cur.PatchInCapacity(regions, len(next))
+		grown, gok := cur.Patch(regions, len(next))
+		if cur.ArenaNodes() != arena || cur.ArenaCapNodes() != capNodes {
+			t.Fatalf("step %d: patching changed the input tree's arena", step)
+		}
+		if !gok {
+			if ok {
+				t.Fatalf("step %d: PatchInCapacity accepted what Patch refused", step)
+			}
+			cur = Build(next, Delta2)
+			cur.GrowArena(8)
+			state = next
+			continue
+		}
+		if ok {
+			fitted++
+			if fixed.ArenaCapNodes() != capNodes {
+				t.Fatalf("step %d: PatchInCapacity replaced the arena", step)
+			}
+			compareProbes(t, rng, fixed, grown, next, 0, Delta2, step)
+		} else {
+			refused++
+			if grown.ArenaNodes() <= capNodes {
+				t.Fatalf("step %d: refused a patch of %d nodes into a capacity of %d", step, grown.ArenaNodes(), capNodes)
+			}
+		}
+		cur, state = grown, next
+	}
+	if fitted == 0 || refused == 0 {
+		t.Fatalf("%d patches fitted and %d were refused; want some of each", fitted, refused)
+	}
+}
+
 // TestPatchGarbageAccumulates: repeated patches orphan nodes and the ratio
 // grows until the owner would compact.
 func TestPatchGarbageAccumulates(t *testing.T) {

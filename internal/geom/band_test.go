@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -147,37 +148,83 @@ func TestContainsPointMatchesRef(t *testing.T) {
 	}
 }
 
+// refRects returns the rects the differential tests relate to p: point
+// rects on probe points, rects spanning one probe to the next (straddling
+// vertices, edges and band boundaries), small squares, and rects around,
+// beside and above the bound, with infinite, NaN and empty ones.
+func refRects(p *Polygon, rng *rand.Rand) []Rect {
+	b := p.Bound()
+	w, h := b.Width(), b.Height()
+	pts := probePoints(p, rng, 500)
+	if len(pts) > 3000 {
+		// The reference relation costs O(NumEdges) per rect.
+		rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+		pts = pts[:3000]
+	}
+	var rects []Rect
+	for i, q := range pts {
+		// Degenerate (point) rects, and rects spanning from a probe to
+		// the next: these straddle vertices, edges and band boundaries.
+		rects = append(rects, Rect{q, q}, RectFromPoints(q, pts[(i+1)%len(pts)]))
+		s := rng.Float64() * 0.05 * math.Max(w, h)
+		rects = append(rects, Rect{q, Point{q.X + s, q.Y + s}})
+	}
+	rects = append(rects,
+		b, // the bound itself
+		Rect{b.Lo.Sub(Point{1, 1}), b.Hi.Add(Point{1, 1})},         // containing the polygon
+		Rect{Point{b.Hi.X + 1, b.Lo.Y}, Point{b.Hi.X + 2, b.Hi.Y}}, // beside it
+		Rect{Point{b.Lo.X, b.Hi.Y + 1}, Point{b.Hi.X, b.Hi.Y + 2}}, // above it
+		Rect{Point{b.Lo.X, math.Inf(-1)}, Point{b.Hi.X, math.Inf(1)}},
+		Rect{Point{math.NaN(), b.Lo.Y}, b.Hi},
+		EmptyRect(),
+	)
+	return rects
+}
+
 func TestRelateRectMatchesRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for name, p := range refPolygons() {
-		b := p.Bound()
-		w, h := b.Width(), b.Height()
-		pts := probePoints(p, rng, 500)
-		if len(pts) > 3000 {
-			// The reference relation costs O(NumEdges) per rect.
-			rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
-			pts = pts[:3000]
-		}
-		var rects []Rect
-		for i, q := range pts {
-			// Degenerate (point) rects, and rects spanning from a probe to
-			// the next: these straddle vertices, edges and band boundaries.
-			rects = append(rects, Rect{q, q}, RectFromPoints(q, pts[(i+1)%len(pts)]))
-			s := rng.Float64() * 0.05 * math.Max(w, h)
-			rects = append(rects, Rect{q, Point{q.X + s, q.Y + s}})
-		}
-		rects = append(rects,
-			b, // the bound itself
-			Rect{b.Lo.Sub(Point{1, 1}), b.Hi.Add(Point{1, 1})},         // containing the polygon
-			Rect{Point{b.Hi.X + 1, b.Lo.Y}, Point{b.Hi.X + 2, b.Hi.Y}}, // beside it
-			Rect{Point{b.Lo.X, b.Hi.Y + 1}, Point{b.Hi.X, b.Hi.Y + 2}}, // above it
-			Rect{Point{b.Lo.X, math.Inf(-1)}, Point{b.Hi.X, math.Inf(1)}},
-			Rect{Point{math.NaN(), b.Lo.Y}, b.Hi},
-			EmptyRect(),
-		)
-		for _, r := range rects {
+		for _, r := range refRects(p, rng) {
 			if got, want := p.RelateRect(r), relateRectRef(p, r); got != want {
 				t.Fatalf("%s: RelateRect(%v) = %v, reference %v", name, r, got, want)
+			}
+		}
+	}
+}
+
+// segmentKeys returns the bit patterns of the segments' coordinates,
+// sorted: a multiset key that also compares NaN coordinates.
+func segmentKeys(segs []Segment) [][4]uint64 {
+	keys := make([][4]uint64, len(segs))
+	for i, s := range segs {
+		keys[i] = [4]uint64{math.Float64bits(s.A.X), math.Float64bits(s.A.Y), math.Float64bits(s.B.X), math.Float64bits(s.B.Y)}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		for k := range keys[i] {
+			if keys[i][k] != keys[j][k] {
+				return keys[i][k] < keys[j][k]
+			}
+		}
+		return false
+	})
+	return keys
+}
+
+// TestAppendEdgesInRectMatchesScan checks the banded edge clip against a
+// scan of every edge: the same edges, each exactly once.
+func TestAppendEdgesInRectMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for name, p := range refPolygons() {
+		for _, r := range refRects(p, rng) {
+			var want []Segment
+			for i := 0; i < p.NumEdges(); i++ {
+				if e := p.Edge(i); e.IntersectsRect(r) {
+					want = append(want, e)
+				}
+			}
+			got := p.AppendEdgesInRect(nil, r)
+			if !reflect.DeepEqual(segmentKeys(got), segmentKeys(want)) {
+				t.Fatalf("%s: AppendEdgesInRect(%v) = %d edges %v, scan %d edges %v", name, r, len(got), got, len(want), want)
 			}
 		}
 	}

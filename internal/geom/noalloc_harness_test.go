@@ -2,8 +2,9 @@ package geom
 
 import "testing"
 
-// TestNoAllocHarness is allocbound's dynamic cross-check: the PIP kernel
-// and the rect relation run under testing.AllocsPerRun. The
+// TestNoAllocHarness is allocbound's dynamic cross-check: the PIP kernel,
+// the rect relation, the segment-rect test and the banded edge clip (into
+// a caller-owned slice) run under testing.AllocsPerRun. The
 // //act:alloc-harness markers are what `actvet` matches against the
 // annotated functions.
 func TestNoAllocHarness(t *testing.T) {
@@ -24,6 +25,20 @@ func TestNoAllocHarness(t *testing.T) {
 	//act:alloc-harness Polygon.RelateRect
 	testAllocs(t, "Polygon.RelateRect", func() {
 		hits += int(p.RelateRect(rect))
+	})
+
+	seg := Segment{Point{1, 1}, Point{5, 3}}
+	//act:alloc-harness Segment.IntersectsRect
+	testAllocs(t, "Segment.IntersectsRect", func() {
+		if seg.IntersectsRect(rect) {
+			hits++
+		}
+	})
+
+	dst := make([]Segment, 0, p.NumEdges())
+	//act:alloc-harness Polygon.AppendEdgesInRect
+	testAllocs(t, "Polygon.AppendEdgesInRect", func() {
+		hits += len(p.AppendEdgesInRect(dst[:0], Rect{Point{-1, 2}, Point{4, 4}}))
 	})
 	if hits == 0 {
 		t.Error("harness calls found nothing")

@@ -258,6 +258,37 @@ func (p *Polygon) Area() float64 {
 	return a
 }
 
+// AppendEdgesInRect appends to dst every edge of the polygon that shares a
+// point with the closed rect r, once each, and returns the extended slice.
+// Like RelateRect it scans only the bands r spans. An edge listed in several
+// of them is tested and emitted only in the first scanned band that lists
+// it: the lowest of its own bands, or r's lowest band when the edge starts
+// below it. Edges come out band by band, in ring-major order within a band.
+// There is no bound pre-check: a rect beside the bound scans its clamped
+// bands and finds nothing, and the result is the same edge set as testing
+// every edge, even for a bound that is not finite.
+//
+// With RelateRect's rule this gives the relation and the edges a refinement
+// descent clips from in one pass: r is partial when any edge comes back,
+// and otherwise inside or disjoint as ContainsPoint(r.Center()) says.
+//
+//act:hotpath
+func (p *Polygon) AppendEdgesInRect(dst []Segment, r Rect) []Segment {
+	v := p.verts
+	lo, hi := p.band(r.Lo.Y), p.band(r.Hi.Y)
+	for b := lo; b <= hi; b++ {
+		for _, k := range p.bandRange(b, b) {
+			if b > lo && p.band(min(v[k].Y, v[k+1].Y)) < b {
+				continue // listed in band b-1 too, so already tested there
+			}
+			if e := (Segment{v[k], v[k+1]}); e.IntersectsRect(r) {
+				dst = append(dst, e)
+			}
+		}
+	}
+	return dst
+}
+
 // RectRelation classifies how the closed rect r relates to the polygon
 // region. It is the predicate that drives covering construction, precision
 // refinement and training in the paper.

@@ -59,10 +59,12 @@ func (s Segment) Intersects(t Segment) bool {
 }
 
 // Bound returns the bounding rect of s.
-func (s Segment) Bound() Rect { return RectFromPoints(s.A, s.B) }
+func (s Segment) Bound() Rect { return EmptyRect().AddPoint(s.A).AddPoint(s.B) }
 
 // IntersectsRect reports whether the segment shares at least one point with
 // the closed rect r. A segment entirely inside r intersects it.
+//
+//act:hotpath
 func (s Segment) IntersectsRect(r Rect) bool {
 	if !s.Bound().Intersects(r) {
 		return false

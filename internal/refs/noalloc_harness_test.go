@@ -16,7 +16,8 @@ func testAllocs(t *testing.T, name string, f func()) {
 }
 
 // TestNoAllocHarness is allocbound's dynamic cross-check: Visit walks both
-// an inlined and a table-backed entry under testing.AllocsPerRun. The
+// an inlined and a table-backed entry, and Normalize sorts and collapses a
+// list in place, under testing.AllocsPerRun. The
 // //act:alloc-harness marker is what `actvet` matches against the
 // annotated function.
 func TestNoAllocHarness(t *testing.T) {
@@ -34,5 +35,13 @@ func TestNoAllocHarness(t *testing.T) {
 		tbl.Visit(stored, func(Ref) { n++ })
 		tbl.Visit(inline, func(Ref) { n++ })
 		allocSink += n
+	})
+
+	unsorted := []Ref{MakeRef(9, false), MakeRef(2, true), MakeRef(9, true), MakeRef(4, false), MakeRef(2, true)}
+	buf := make([]Ref, len(unsorted))
+	//act:alloc-harness Normalize
+	testAllocs(t, "Normalize", func() {
+		copy(buf, unsorted)
+		allocSink += len(Normalize(buf))
 	})
 }

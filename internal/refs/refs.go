@@ -17,7 +17,7 @@ package refs
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // MaxPolygonID is the largest encodable polygon id (30 bits, i.e. up to 2^30
@@ -59,14 +59,16 @@ func (r Ref) String() string {
 // Normalize sorts refs and collapses duplicates. When the same polygon
 // appears both as a candidate and as a true hit, the true hit wins: the cell
 // is inside an interior-covering cell of that polygon, so containment is
-// certain.
+// certain. It allocates nothing: the write path (refinement, region
+// re-emit, encode) calls it once per cell.
 //
 //act:mutates 0
+//act:hotpath
 func Normalize(in []Ref) []Ref {
 	if len(in) <= 1 {
 		return in
 	}
-	sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
+	slices.Sort(in)
 	out := in[:1]
 	for _, r := range in[1:] {
 		last := &out[len(out)-1]

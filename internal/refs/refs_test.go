@@ -3,6 +3,7 @@ package refs
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -62,6 +63,51 @@ func TestNormalize(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("case %d: Normalize(%v) = %v, want %v", i, c.in, got, c.want)
+		}
+	}
+}
+
+// normalizeRef is Normalize as it was written over sort.Slice: the oracle
+// the generic-sort version must match on every input.
+func normalizeRef(in []Ref) []Ref {
+	if len(in) <= 1 {
+		return in
+	}
+	sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
+	out := in[:1]
+	for _, r := range in[1:] {
+		last := &out[len(out)-1]
+		if r == *last {
+			continue
+		}
+		if r.PolygonID() == last.PolygonID() {
+			*last = r
+			continue
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestNormalizeMatchesRef checks Normalize against normalizeRef over random
+// multisets drawn from a few ids, so duplicates and the same polygon as both
+// candidate and interior are common.
+func TestNormalizeMatchesRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		in := make([]Ref, rng.Intn(12))
+		ids := 1 + rng.Intn(6)
+		for k := range in {
+			id := uint32(rng.Intn(ids))
+			if rng.Intn(8) == 0 {
+				id = uint32(rng.Intn(MaxPolygonID + 1))
+			}
+			in[k] = MakeRef(id, rng.Intn(2) == 0)
+		}
+		want := normalizeRef(append([]Ref(nil), in...))
+		got := Normalize(append([]Ref(nil), in...))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Normalize(%v) = %v, want %v", in, got, want)
 		}
 	}
 }

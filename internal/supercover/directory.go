@@ -3,7 +3,7 @@ package supercover
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"actjoin/internal/cellid"
 	"actjoin/internal/refs"
@@ -72,8 +72,7 @@ func (f *polyFootprint) size() int { return len(f.sorted) + len(f.added) - len(f
 
 // find reports id's position in s and whether it is present.
 func find(s []cellid.CellID, id cellid.CellID) (int, bool) {
-	i := sort.Search(len(s), func(k int) bool { return s[k] >= id })
-	return i, i < len(s) && s[i] == id
+	return slices.BinarySearch(s, id)
 }
 
 // insertAt places id into the sorted slice s at position i.

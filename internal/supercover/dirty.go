@@ -1,7 +1,8 @@
 package supercover
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"actjoin/internal/cellid"
 	"actjoin/internal/refs"
@@ -74,12 +75,11 @@ func CoalesceRoots(roots []cellid.CellID) []cellid.CellID {
 	}
 	// Order by range start; ties (same corner) put the coarser root first so
 	// the containment sweep below keeps it.
-	sort.Slice(roots, func(i, j int) bool {
-		ri, rj := roots[i].RangeMin(), roots[j].RangeMin()
-		if ri != rj {
-			return ri < rj
+	slices.SortFunc(roots, func(a, b cellid.CellID) int {
+		if c := cmp.Compare(a.RangeMin(), b.RangeMin()); c != 0 {
+			return c
 		}
-		return roots[i].Level() < roots[j].Level()
+		return cmp.Compare(a.Level(), b.Level())
 	})
 	out := roots[:1]
 	lastMax := roots[0].RangeMax()

@@ -28,10 +28,9 @@ func (sc *SuperCovering) RefineToPrecision(polys []*geom.Polygon, minLevel int) 
 		minLevel = cover.MaxSupportedLevel
 	}
 	sc.markAllDirty()
-	edgesOf := newEdgeCache(polys)
 	for f := 0; f < cellid.NumFaces; f++ {
 		if sc.roots[f] != nil {
-			sc.refineNode(sc.roots[f], cellid.FaceCell(f), minLevel, polys, edgesOf)
+			sc.refineNode(sc.roots[f], cellid.FaceCell(f), minLevel, polys)
 			sc.pruneEmptyAt(cellid.FaceCell(f))
 		}
 	}
@@ -47,12 +46,13 @@ func (sc *SuperCovering) RefineToPrecision(polys []*geom.Polygon, minLevel int) 
 // ones) strictly inside the inserted cells, while every cell outside them
 // already satisfied the precision invariant, so refining just the seed
 // regions restores the invariant at O(covering) instead of an O(index)
-// full-tree rescan.
+// full-tree rescan. Nor does it pay for the whole polygons it touches: each
+// cell's candidate references are classified from the edges in the cell's
+// own bands of the polygon's band index (see refineNode).
 func (sc *SuperCovering) RefineCells(polys []*geom.Polygon, seeds []cellid.CellID, minLevel int) {
 	if minLevel > cover.MaxSupportedLevel {
 		minLevel = cover.MaxSupportedLevel
 	}
-	edgesOf := newEdgeCache(polys)
 	for _, seed := range seeds {
 		cur := sc.roots[seed.Face()]
 		id := cellid.FaceCell(seed.Face())
@@ -74,23 +74,9 @@ func (sc *SuperCovering) RefineCells(polys []*geom.Polygon, seeds []cellid.CellI
 			// (usually re-marking the seed Insert already marked, but the
 			// ancestor-cell break above can land coarser).
 			sc.markDirty(id)
-			sc.refineNode(cur, id, minLevel, polys, edgesOf)
+			sc.refineNode(cur, id, minLevel, polys)
 			sc.pruneEmptyAt(id)
 		}
-	}
-}
-
-// newEdgeCache memoizes per-polygon edge extraction across the cells of one
-// refinement pass.
-func newEdgeCache(polys []*geom.Polygon) func(uint32) []geom.Segment {
-	cache := make(map[uint32][]geom.Segment)
-	return func(id uint32) []geom.Segment {
-		e, ok := cache[id]
-		if !ok {
-			e = cover.Edges(polys[id])
-			cache[id] = e
-		}
-		return e
 	}
 }
 
@@ -103,11 +89,34 @@ type boundaryCtx struct {
 	edges []geom.Segment
 }
 
-func (sc *SuperCovering) refineNode(n *node, id cellid.CellID, minLevel int, polys []*geom.Polygon, edgesOf func(uint32) []geom.Segment) {
+// seedRelate classifies rect against poly from the polygon's band index and
+// appends the edges that meet rect to dst: the seed of a refinement
+// descent. AppendEdgesInRect scans only the bands rect spans. Any edge
+// makes rect partial; no edge means rect is inside or disjoint as its
+// center's ContainsPoint says. That is ClippedRelate's rule over the full
+// edge set, so relation and edge set are the same as
+// ClippedRelate(poly, rect, cover.Edges(poly)), without copying or scanning
+// the whole polygon.
+func seedRelate(dst []geom.Segment, poly *geom.Polygon, rect geom.Rect) (geom.RectRelation, []geom.Segment) {
+	n := len(dst)
+	dst = poly.AppendEdgesInRect(dst, rect)
+	switch {
+	case len(dst) > n:
+		return geom.RectPartial, dst
+	case poly.ContainsPoint(rect.Center()):
+		return geom.RectInside, dst
+	}
+	return geom.RectDisjoint, dst
+}
+
+// refineNode refines every cell in n's subtree. A cell's candidate
+// references are classified by seedRelate; the seeds of the partial ones,
+// kept back to back in one slice, start splitBoundary's descent.
+func (sc *SuperCovering) refineNode(n *node, id cellid.CellID, minLevel int, polys []*geom.Polygon) {
 	if !n.hasCell {
 		for i := 0; i < 4; i++ {
 			if n.children[i] != nil {
-				sc.refineNode(n.children[i], id.Child(i), minLevel, polys, edgesOf)
+				sc.refineNode(n.children[i], id.Child(i), minLevel, polys)
 				if c := n.children[i]; !c.hasCell && !c.hasChildren() {
 					// Every reference in the child's subtree turned out
 					// disjoint: drop the emptied node (see pruneEmptyAt).
@@ -126,6 +135,7 @@ func (sc *SuperCovering) refineNode(n *node, id cellid.CellID, minLevel int, pol
 	// a deep cell could otherwise point at a polygon arbitrarily far away.
 	var interior []refs.Ref
 	var boundary []boundaryCtx
+	var edges []geom.Segment
 	bound := id.Bound()
 	for _, r := range n.refs {
 		if r.Interior() {
@@ -133,12 +143,14 @@ func (sc *SuperCovering) refineNode(n *node, id cellid.CellID, minLevel int, pol
 			continue
 		}
 		poly := polys[r.PolygonID()]
-		rel, clipped := cover.ClippedRelate(poly, bound, edgesOf(r.PolygonID()))
+		start := len(edges)
+		var rel geom.RectRelation
+		rel, edges = seedRelate(edges, poly, bound)
 		switch rel {
 		case geom.RectInside:
 			interior = append(interior, refs.MakeRef(r.PolygonID(), true))
 		case geom.RectPartial:
-			boundary = append(boundary, boundaryCtx{ref: r, poly: poly, edges: clipped})
+			boundary = append(boundary, boundaryCtx{ref: r, poly: poly, edges: edges[start:len(edges):len(edges)]})
 		}
 		// Disjoint references are dropped.
 	}

@@ -400,8 +400,9 @@ func (sh *shard) publishIncremental(prev *part, roots []cellid.CellID) *part {
 	}
 	s := sh.patchSnapshot(prev, sh.enc, roots, publishMaxDirtyFraction)
 	if s == nil && c != nil && !c.replayAll {
-		// The frozen layout (or the dirty budget) refused the patch. With a
-		// (non-poisoned) compaction in flight the fallback is deferred to it
+		// The frozen layout, the dirty budget or the arena's capacity
+		// refused the patch. With a (non-poisoned) compaction in flight the
+		// fallback is deferred to it
 		// instead of rebuilding inline: wait for the build and reconcile —
 		// the fresh base often absorbs what the stale layout could not. The
 		// aborted patch's encoder staging was rolled back by patchSnapshot,
@@ -531,7 +532,14 @@ func (sh *shard) patchSnapshot(base *part, enc *cellindex.Encoder, roots []celli
 		return abort()
 	}
 
-	tree, ok := base.tree.Patch(regions, newCells.Len())
+	patch := base.tree.Patch
+	if sh.compacting != nil {
+		// A fresh arena is on the way: a patch that outgrows this one's
+		// headroom waits for it (the caller's deferred fallback) instead of
+		// copying the whole arena on the writer.
+		patch = base.tree.PatchInCapacity
+	}
+	tree, ok := patch(regions, newCells.Len())
 	if !ok {
 		return abort()
 	}
