@@ -2,7 +2,10 @@ package actjoin
 
 import (
 	"bytes"
+	"math"
 	"testing"
+
+	"actjoin/internal/geom"
 )
 
 // fuzzSeedGeoJSON is the shared seed document: one well-formed triangle
@@ -13,6 +16,8 @@ const fuzzSeedGeoJSON = `{"type":"FeatureCollection","features":[{"type":"Featur
 // documents must produce an error, never a panic; documents that parse must
 // yield an index whose exact results are a subset of the approximate
 // candidate set (the filter may over-approximate but never lose a hit).
+// Documents small enough to refine cheaply are also built with a precision
+// bound, which must hold at every probe (see checkFuzzPrecision).
 func FuzzGeoJSON(f *testing.F) {
 	f.Add([]byte(fuzzSeedGeoJSON))
 	f.Add([]byte(`{"type":"Polygon","coordinates":[[[8,47],[9,47],[9,48],[8,48],[8,47]]]}`))
@@ -38,7 +43,97 @@ func FuzzGeoJSON(f *testing.F) {
 				}
 			}
 		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkFuzzPrecision(t, data)
 	})
+}
+
+// Limits on the documents checkFuzzPrecision builds with a precision bound.
+// The refined cell count grows with the boundary length over the bound, so
+// the length budget is what keeps one iteration cheap.
+const (
+	fuzzPrecisionMeters  = 50
+	fuzzPrecisionEdges   = 4096
+	fuzzPrecisionLengthM = 1.5e6
+)
+
+// checkFuzzPrecision builds the document's polygons with
+// WithPrecision(fuzzPrecisionMeters) and probes an 8×8 grid inside each
+// polygon's bound, plus points offset from the midpoints of its first 32
+// edges by half and by 1.2 times the bound along each axis. At every probe
+// the exact hits must be approximate candidates, and every approximate
+// false positive must lie within the bound of its polygon.
+func checkFuzzPrecision(t *testing.T, data []byte) {
+	polys, _, err := PolygonsFromGeoJSON(data)
+	if err != nil {
+		t.Fatalf("a document NewIndexFromGeoJSON accepted fails to parse: %v", err)
+	}
+	geoms := make([]*geom.Polygon, len(polys))
+	edges, length := 0, 0.0
+	for i, p := range polys {
+		g, err := toGeom(p)
+		if err != nil {
+			t.Fatalf("polygon %d: %v", i, err)
+		}
+		geoms[i] = g
+		edges += g.NumEdges()
+		for k := 0; k < g.NumEdges(); k++ {
+			e := g.Edge(k)
+			length += geom.DistanceMeters(e.A, e.B)
+		}
+	}
+	if edges > fuzzPrecisionEdges || !(length <= fuzzPrecisionLengthM) {
+		return
+	}
+	ix, err := NewIndex(polys, WithPrecision(fuzzPrecisionMeters))
+	if err != nil {
+		t.Fatalf("a document NewIndex accepted fails with a precision bound: %v", err)
+	}
+	defer func() {
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	snap := ix.Current()
+	var probes []geom.Point
+	for _, g := range geoms {
+		b := g.Bound()
+		for i := 0; i < 8; i++ {
+			for j := 0; j < 8; j++ {
+				probes = append(probes, geom.Point{X: b.Lo.X + (float64(i)+0.5)/8*b.Width(), Y: b.Lo.Y + (float64(j)+0.5)/8*b.Height()})
+			}
+		}
+		for k := 0; k < g.NumEdges() && k < 32; k++ {
+			e := g.Edge(k)
+			mid := geom.Point{X: (e.A.X + e.B.X) / 2, Y: (e.A.Y + e.B.Y) / 2}
+			for _, f := range []float64{0.5, 1.2} {
+				dy := f * fuzzPrecisionMeters / geom.MetersPerDegreeLat
+				dx := dy / math.Max(math.Cos(mid.Y*math.Pi/180), 1e-3)
+				probes = append(probes,
+					geom.Point{X: mid.X - dx, Y: mid.Y}, geom.Point{X: mid.X + dx, Y: mid.Y},
+					geom.Point{X: mid.X, Y: mid.Y - dy}, geom.Point{X: mid.X, Y: mid.Y + dy})
+			}
+		}
+	}
+	for _, gp := range probes {
+		if gp.X < -180 || gp.X > 180 || gp.Y < -90 || gp.Y > 90 {
+			continue
+		}
+		p := Point{Lon: gp.X, Lat: gp.Y}
+		approx := snap.CoversApprox(p)
+		for _, id := range snap.Covers(p) {
+			if !fuzzContainsID(approx, id) {
+				t.Fatalf("precision index: exact hit %d at %v missing from approximate candidates %v", id, p, approx)
+			}
+		}
+		for _, id := range approx {
+			if d := geom.DistanceToPolygonMeters(gp, geoms[id]); d > fuzzPrecisionMeters {
+				t.Fatalf("approximate candidate %d at %v lies %.2f m from its polygon, over the %v m bound", id, p, d, fuzzPrecisionMeters)
+			}
+		}
+	}
 }
 
 func fuzzContainsID(ids []PolygonID, id PolygonID) bool {

@@ -314,12 +314,11 @@ func CommonAncestor(a, b CellID) (CellID, bool) {
 }
 
 // faceIJ decodes the cell into face, leaf-aligned (i, j) of its minimum
-// corner, and level.
-func (c CellID) faceIJ() (face, i, j, level int) {
+// corner, level, and the Hilbert orientation its children are laid out in.
+func (c CellID) faceIJ() (face, i, j, level int, orient uint32) {
 	face = c.Face()
 	level = c.Level()
 	pos := uint64(c) & (1<<posBits - 1)
-	orient := uint32(0)
 	var ci, cj int
 	for k := 0; k < level; k++ {
 		shift := uint(posBits - 2*(k+1))
@@ -331,20 +330,43 @@ func (c CellID) faceIJ() (face, i, j, level int) {
 	}
 	i = ci << uint(MaxLevel-level)
 	j = cj << uint(MaxLevel-level)
-	return face, i, j, level
+	return face, i, j, level, orient
 }
 
 // Bound returns the lon/lat rectangle covered by the cell.
 func (c CellID) Bound() geom.Rect {
-	face, i, j, level := c.faceIJ()
-	fr := faceRect(face)
-	size := 1 << uint(MaxLevel-level)
+	face, i, j, level, _ := c.faceIJ()
+	return faceIJBound(faceRect(face), i, j, 1<<uint(MaxLevel-level))
+}
+
+// faceIJBound is the lon/lat rectangle of the size×size leaf block at
+// leaf-grid (i, j) of the face tile fr.
+func faceIJBound(fr geom.Rect, i, j, size int) geom.Rect {
 	scaleX := fr.Width() / (1 << MaxLevel)
 	scaleY := fr.Height() / (1 << MaxLevel)
 	return geom.Rect{
 		Lo: geom.Point{X: fr.Lo.X + float64(i)*scaleX, Y: fr.Lo.Y + float64(j)*scaleY},
 		Hi: geom.Point{X: fr.Lo.X + float64(i+size)*scaleX, Y: fr.Lo.Y + float64(j+size)*scaleY},
 	}
+}
+
+// ChildBounds returns the bounds of c's four children in Hilbert order,
+// bit-identical to c.Child(k).Bound() for each k. It decodes c's path once
+// and places each child's (i, j) from the parent's orientation, where four
+// Child(k).Bound() calls decode the whole path four times: the per-split
+// cost of refinement. Must not be called on leaf cells.
+//
+//act:hotpath
+func (c CellID) ChildBounds() [4]geom.Rect {
+	face, i, j, level, orient := c.faceIJ()
+	fr := faceRect(face)
+	size := 1 << uint(MaxLevel-level-1)
+	var out [4]geom.Rect
+	for k := range out {
+		ij := posToIJ[orient][k]
+		out[k] = faceIJBound(fr, i+int(ij>>1)*size, j+int(ij&1)*size, size)
+	}
+	return out
 }
 
 // Center returns the lon/lat center point of the cell.

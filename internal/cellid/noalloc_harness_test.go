@@ -6,9 +6,12 @@ import (
 	"actjoin/internal/geom"
 )
 
-// allocSink keeps harness results live so the measured calls cannot be
-// eliminated.
-var allocSink CellID
+// allocSink and rectSink keep harness results live so the measured calls
+// cannot be eliminated.
+var (
+	allocSink CellID
+	rectSink  geom.Rect
+)
 
 // testAllocs warms f up once and then fails if f allocates per run.
 func testAllocs(t *testing.T, name string, f func()) {
@@ -37,5 +40,11 @@ func TestNoAllocHarness(t *testing.T) {
 	testAllocs(t, "FromPoints", func() {
 		FromPoints(dst, src)
 		allocSink += dst[0]
+	})
+
+	parent := FromPoint(p).Parent(14)
+	//act:alloc-harness CellID.ChildBounds
+	testAllocs(t, "ChildBounds", func() {
+		rectSink = parent.ChildBounds()[3]
 	})
 }

@@ -143,26 +143,29 @@ func run(poly *geom.Polygon, opt Options, interior bool) []cellid.CellID {
 
 // ClippedRelate classifies rect against poly, given `edges` — a superset of
 // the polygon edges that can possibly intersect rect (typically the clipped
-// edge set of rect's parent cell). It returns the relation and, for partial
-// rects, the subset of edges intersecting rect for further descent.
+// edge set of rect's parent cell). It appends the subset of edges
+// intersecting rect to dst, for further descent, and returns the relation
+// with the extended slice: rect is partial exactly when an edge was
+// appended. Appending lets a descent keep every level's edge sets on one
+// reused stack.
 //
 // This incremental form makes deep refinement affordable: the edge set
 // shrinks geometrically during descent, and the full O(n) PIP test is needed
 // only when a rect has no nearby boundary at all.
-func ClippedRelate(poly *geom.Polygon, rect geom.Rect, edges []geom.Segment) (geom.RectRelation, []geom.Segment) {
-	var clipped []geom.Segment
+func ClippedRelate(dst []geom.Segment, poly *geom.Polygon, rect geom.Rect, edges []geom.Segment) (geom.RectRelation, []geom.Segment) {
+	n := len(dst)
 	for _, e := range edges {
 		if e.IntersectsRect(rect) {
-			clipped = append(clipped, e)
+			dst = append(dst, e)
 		}
 	}
-	if len(clipped) > 0 {
-		return geom.RectPartial, clipped
+	switch {
+	case len(dst) > n:
+		return geom.RectPartial, dst
+	case poly.ContainsPoint(rect.Center()):
+		return geom.RectInside, dst
 	}
-	if poly.ContainsPoint(rect.Center()) {
-		return geom.RectInside, nil
-	}
-	return geom.RectDisjoint, nil
+	return geom.RectDisjoint, dst
 }
 
 // Edges returns all edges of the polygon as a flat slice, the starting edge

@@ -230,7 +230,7 @@ func TestClippedRelateMatchesRelateRect(t *testing.T) {
 		w := rng.Float64() * 0.02
 		r := geom.Rect{Lo: geom.Point{X: cx, Y: cy}, Hi: geom.Point{X: cx + w, Y: cy + w}}
 		want := poly.RelateRect(r)
-		got, clipped := ClippedRelate(poly, r, edges)
+		got, clipped := ClippedRelate(nil, poly, r, edges)
 		if got != want {
 			t.Fatalf("ClippedRelate = %v, RelateRect = %v for %v", got, want, r)
 		}
@@ -249,7 +249,7 @@ func TestClippedRelateDescent(t *testing.T) {
 	edges := Edges(poly)
 	var walk func(c cellid.CellID, e []geom.Segment, depth int)
 	walk = func(c cellid.CellID, e []geom.Segment, depth int) {
-		rel, clipped := ClippedRelate(poly, c.Bound(), e)
+		rel, clipped := ClippedRelate(nil, poly, c.Bound(), e)
 		if want := poly.RelateRect(c.Bound()); rel != want {
 			t.Fatalf("descent relation mismatch at %v: %v vs %v", c, rel, want)
 		}

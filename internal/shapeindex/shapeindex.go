@@ -87,7 +87,7 @@ func Build(polys []*geom.Polygon, opt Options) *Index {
 		bound := face.Bound()
 		var initial []polyRecord
 		for i, p := range polys {
-			rel, clipped := cover.ClippedRelate(p, bound, cover.Edges(p))
+			rel, clipped := cover.ClippedRelate(nil, p, bound, cover.Edges(p))
 			switch rel {
 			case geom.RectInside:
 				initial = append(initial, polyRecord{polyID: uint32(i), centerInside: true})

@@ -30,12 +30,15 @@ import (
 // amortized O(1) per insert instead of O(footprint).
 //
 // The directory is writer-side state with the same synchronization contract
-// as the quadtree itself. It is maintained inline by every mutation that
-// changes a node's reference list — Insert (including conflict-resolution
-// difference cells and the distribute path), refinement, training splits,
-// removal and transaction rollback (ResetRegion) — and is rebuilt for free
-// when a covering is reconstructed by re-inserting frozen cells
-// (deserialization, the full-rebuild restore path). Invariant: cell c is in
+// as the quadtree itself. Runtime mutations maintain it inline, at every
+// change to a node's reference list — Insert (including conflict-resolution
+// difference cells and the distribute path), RefineCells, training splits,
+// removal and transaction rollback (ResetRegion) — and it is rebuilt for
+// free when a covering is reconstructed by re-inserting frozen cells
+// (deserialization, the full-rebuild restore path). Bulk refinement
+// (RefineToPrecision) rewrites the whole tree and has no reader until it
+// ends, so it skips the per-split upkeep and rebuilds the directory once
+// from the finished tree (rebuildDirectory). Invariant: cell c is in
 // cells[p] if and only if the tree holds a cell c whose reference list
 // contains polygon p; ValidateDirectory checks it in tests.
 type directory struct {
@@ -167,9 +170,93 @@ func newDirectory() directory {
 	return directory{cells: make(map[uint32]*polyFootprint)}
 }
 
+// rebuildDirectory returns the directory of the tree under roots, built in
+// one ascending walk after a counting pass: the counts size every
+// footprint's slice exactly, and the walk visits cells in ascending id
+// order (faces in order, children in Hilbert order), so each footprint
+// fills by plain appends and its staging tails stay empty.
+func rebuildDirectory(roots *[cellid.NumFaces]*node) directory {
+	var b dirBuilder
+	for f := range roots {
+		if roots[f] != nil {
+			b.count(roots[f])
+		}
+	}
+	live := 0
+	b.fps = make([]*polyFootprint, len(b.counts))
+	for p, n := range b.counts {
+		if n > 0 {
+			b.fps[p] = &polyFootprint{sorted: make([]cellid.CellID, 0, n)}
+			live++
+		}
+	}
+	for f := range roots {
+		if roots[f] != nil {
+			b.fill(roots[f], cellid.FaceCell(f))
+		}
+	}
+	d := directory{cells: make(map[uint32]*polyFootprint, live)}
+	for p, f := range b.fps {
+		if f != nil {
+			d.cells[uint32(p)] = f
+		}
+	}
+	return d
+}
+
+// dirBuilder holds rebuildDirectory's per-polygon state, indexed by polygon
+// id: the reference counts, then the footprints being filled.
+type dirBuilder struct {
+	counts []int32
+	fps    []*polyFootprint
+}
+
+// count tallies, per polygon, the references of the cells under n.
+func (b *dirBuilder) count(n *node) {
+	if n.hasCell {
+		for _, r := range n.refs {
+			p := int(r.PolygonID())
+			if p >= len(b.counts) {
+				b.counts = append(b.counts, make([]int32, p+1-len(b.counts))...)
+			}
+			b.counts[p]++
+		}
+		return
+	}
+	for i := 0; i < 4; i++ {
+		if n.children[i] != nil {
+			b.count(n.children[i])
+		}
+	}
+}
+
+// fill appends every cell under n (cell id) to the footprints of the
+// polygons it references, in ascending id order.
+func (b *dirBuilder) fill(n *node, id cellid.CellID) {
+	if n.hasCell {
+		for _, r := range n.refs {
+			f := b.fps[r.PolygonID()]
+			if k := len(f.sorted); k > 0 && f.sorted[k-1] == id {
+				continue // a second reference to the same polygon
+			}
+			f.sorted = append(f.sorted, id)
+		}
+		return
+	}
+	for i := 0; i < 4; i++ {
+		if n.children[i] != nil {
+			b.fill(n.children[i], id.Child(i))
+		}
+	}
+}
+
 // addRefs records that cell id references every polygon in rs. rs need not
-// be normalized: duplicate polygon ids collapse in the set.
+// be normalized: duplicate polygon ids collapse in the set. A nil directory
+// records nothing (a refinement pass whose caller rebuilds it afterwards).
 func (d *directory) addRefs(id cellid.CellID, rs []refs.Ref) {
+	if d == nil {
+		return
+	}
 	for _, r := range rs {
 		p := r.PolygonID()
 		f := d.cells[p]
@@ -183,8 +270,11 @@ func (d *directory) addRefs(id cellid.CellID, rs []refs.Ref) {
 
 // removeRefs drops cell id from every polygon in rs. Empty per-polygon
 // footprints are deleted so ReferencedPolygons never reports a polygon
-// without cells.
+// without cells. Like addRefs, it is a no-op on a nil directory.
 func (d *directory) removeRefs(id cellid.CellID, rs []refs.Ref) {
+	if d == nil {
+		return
+	}
 	for _, r := range rs {
 		d.removeOne(id, r.PolygonID())
 	}

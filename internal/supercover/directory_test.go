@@ -176,3 +176,61 @@ func TestFootprint(t *testing.T) {
 	}
 	validate(t, sc, "after removal")
 }
+
+// TestRefineToPrecisionRebuildsDirectory checks the directory that bulk
+// refinement rebuilds from the finished tree: it matches the tree, every
+// footprint is one exactly-sized sorted slice with empty staging tails, the
+// runtime mutations that maintain it inline (RemovePolygon, RefineCells,
+// Train) keep it valid afterwards, and directory removal still equals the
+// walk on it.
+func TestRefineToPrecisionRebuildsDirectory(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	polys := testPolys()
+	for i := 0; i < 4; i++ {
+		polys = append(polys, randomHoledPolygon(rng))
+	}
+	for _, level := range []int{14, 16, 17} {
+		build := func() *SuperCovering {
+			sc := Build(polys, DefaultOptions())
+			sc.RefineToPrecision(polys, level)
+			return sc
+		}
+		sc := build()
+		validate(t, sc, "after RefineToPrecision")
+		if len(sc.dir.cells) == 0 {
+			t.Fatalf("level %d: empty directory", level)
+		}
+		for p, f := range sc.dir.cells {
+			if len(f.added) != 0 || len(f.removed) != 0 {
+				t.Fatalf("level %d: polygon %d: staging tails hold %d added, %d removed", level, p, len(f.added), len(f.removed))
+			}
+			if cap(f.sorted) != len(f.sorted) {
+				t.Fatalf("level %d: polygon %d: %d cells in a slice of capacity %d", level, p, len(f.sorted), cap(f.sorted))
+			}
+		}
+
+		walk := build()
+		walk.SetWalkRemoval(true)
+		for _, id := range []uint32{1, 4} {
+			if got, want := sc.RemovePolygon(id), walk.RemovePolygon(id); got != want {
+				t.Fatalf("level %d: removing %d touched %d cells, the walk %d", level, id, got, want)
+			}
+		}
+		validate(t, sc, "after RemovePolygon")
+		validate(t, walk, "after walk removal")
+		if !reflect.DeepEqual(sc.Cells(), walk.Cells()) {
+			t.Fatalf("level %d: directory and walk removal diverged", level)
+		}
+
+		seeds := insertPolygonCells(sc, 1, polys[1])
+		sc.RefineCells(polys, seeds, level)
+		validate(t, sc, "after RefineCells")
+
+		var train []cellid.CellID
+		for i := 0; i < 300; i++ {
+			train = append(train, cellid.FromPoint(geom.Point{X: -74 + 0.2*rng.Float64(), Y: 40.6 + 0.2*rng.Float64()}))
+		}
+		sc.Train(polys, train, 0)
+		validate(t, sc, "after Train")
+	}
+}

@@ -23,17 +23,24 @@ import (
 // them further to exactly minLevel would change nothing the index can
 // observe (every point in them is a true hit either way) and only multiply
 // the cell count.
+//
+// This is the bulk path: it rewrites the whole tree, so the descent does no
+// per-split directory upkeep — nothing reads the directory until it ends —
+// and the directory is rebuilt once from the finished tree instead (see
+// rebuildDirectory).
 func (sc *SuperCovering) RefineToPrecision(polys []*geom.Polygon, minLevel int) {
 	if minLevel > cover.MaxSupportedLevel {
 		minLevel = cover.MaxSupportedLevel
 	}
 	sc.markAllDirty()
+	r := refiner{sc: sc, polys: polys, minLevel: minLevel}
 	for f := 0; f < cellid.NumFaces; f++ {
 		if sc.roots[f] != nil {
-			sc.refineNode(sc.roots[f], cellid.FaceCell(f), minLevel, polys)
+			r.refineNode(sc.roots[f], cellid.FaceCell(f))
 			sc.pruneEmptyAt(cellid.FaceCell(f))
 		}
 	}
+	sc.dir = rebuildDirectory(&sc.roots)
 }
 
 // RefineCells is RefineToPrecision scoped to the regions of the given seed
@@ -48,11 +55,14 @@ func (sc *SuperCovering) RefineToPrecision(polys []*geom.Polygon, minLevel int) 
 // regions restores the invariant at O(covering) instead of an O(index)
 // full-tree rescan. Nor does it pay for the whole polygons it touches: each
 // cell's candidate references are classified from the edges in the cell's
-// own bands of the polygon's band index (see refineNode).
+// own bands of the polygon's band index (see refineNode). It shares
+// RefineToPrecision's descent, but keeps the directory in step split by
+// split: a rebuild would cost O(index).
 func (sc *SuperCovering) RefineCells(polys []*geom.Polygon, seeds []cellid.CellID, minLevel int) {
 	if minLevel > cover.MaxSupportedLevel {
 		minLevel = cover.MaxSupportedLevel
 	}
+	r := refiner{sc: sc, polys: polys, minLevel: minLevel, dir: &sc.dir}
 	for _, seed := range seeds {
 		cur := sc.roots[seed.Face()]
 		id := cellid.FaceCell(seed.Face())
@@ -74,10 +84,30 @@ func (sc *SuperCovering) RefineCells(polys []*geom.Polygon, seeds []cellid.CellI
 			// (usually re-marking the seed Insert already marked, but the
 			// ancestor-cell break above can land coarser).
 			sc.markDirty(id)
-			sc.refineNode(cur, id, minLevel, polys)
+			r.refineNode(cur, id)
 			sc.pruneEmptyAt(id)
 		}
 	}
+}
+
+// refiner is one refinement pass: its inputs, the directory it keeps in
+// step, and the scratch its descent reuses.
+type refiner struct {
+	sc       *SuperCovering
+	polys    []*geom.Polygon
+	minLevel int
+	// dir is the directory updated at every split, or nil when the caller
+	// rebuilds it after the pass (directory methods are no-ops on nil).
+	dir *directory
+
+	// Descent stacks. A cell's classification appends its interior refs,
+	// boundary contexts and their clipped edges above those of the cells
+	// still being descended, and truncates them back once the cell is done,
+	// so past the stacks' own growth a pass allocates only each terminal
+	// cell's reference list and node.
+	interior []refs.Ref
+	boundary []boundaryCtx
+	edges    []geom.Segment
 }
 
 // boundaryCtx tracks one candidate reference during refinement descent: the
@@ -95,8 +125,8 @@ type boundaryCtx struct {
 // makes rect partial; no edge means rect is inside or disjoint as its
 // center's ContainsPoint says. That is ClippedRelate's rule over the full
 // edge set, so relation and edge set are the same as
-// ClippedRelate(poly, rect, cover.Edges(poly)), without copying or scanning
-// the whole polygon.
+// ClippedRelate(nil, poly, rect, cover.Edges(poly)), without copying or
+// scanning the whole polygon.
 func seedRelate(dst []geom.Segment, poly *geom.Polygon, rect geom.Rect) (geom.RectRelation, []geom.Segment) {
 	n := len(dst)
 	dst = poly.AppendEdgesInRect(dst, rect)
@@ -109,14 +139,39 @@ func seedRelate(dst []geom.Segment, poly *geom.Polygon, rect geom.Rect) (geom.Re
 	return geom.RectDisjoint, dst
 }
 
+// classify files one candidate reference by its relation to the cell being
+// classified: inside promotes it to a true hit on the interior stack,
+// partial pushes a boundary context over the edges the relation appended to
+// the edge stack (from start on), disjoint drops it.
+func (r *refiner) classify(rel geom.RectRelation, ref refs.Ref, poly *geom.Polygon, start int) {
+	switch rel {
+	case geom.RectInside:
+		r.interior = append(r.interior, refs.MakeRef(ref.PolygonID(), true))
+	case geom.RectPartial:
+		end := len(r.edges)
+		r.boundary = append(r.boundary, boundaryCtx{ref: ref, poly: poly, edges: r.edges[start:end:end]})
+	}
+}
+
+// finalRefs allocates a cell's reference list: its interior refs followed
+// by its boundary refs, normalized.
+func finalRefs(interior []refs.Ref, boundary []boundaryCtx) []refs.Ref {
+	out := make([]refs.Ref, 0, len(interior)+len(boundary))
+	out = append(out, interior...)
+	for _, bc := range boundary {
+		out = append(out, bc.ref)
+	}
+	return refs.Normalize(out)
+}
+
 // refineNode refines every cell in n's subtree. A cell's candidate
-// references are classified by seedRelate; the seeds of the partial ones,
-// kept back to back in one slice, start splitBoundary's descent.
-func (sc *SuperCovering) refineNode(n *node, id cellid.CellID, minLevel int, polys []*geom.Polygon) {
+// references are classified by seedRelate; the seeds of the partial ones
+// start splitBoundary's descent.
+func (r *refiner) refineNode(n *node, id cellid.CellID) {
 	if !n.hasCell {
 		for i := 0; i < 4; i++ {
 			if n.children[i] != nil {
-				sc.refineNode(n.children[i], id.Child(i), minLevel, polys)
+				r.refineNode(n.children[i], id.Child(i))
 				if c := n.children[i]; !c.hasCell && !c.hasChildren() {
 					// Every reference in the child's subtree turned out
 					// disjoint: drop the emptied node (see pruneEmptyAt).
@@ -133,107 +188,85 @@ func (sc *SuperCovering) refineNode(n *node, id cellid.CellID, minLevel int, pol
 	// every boundary cell — even those already at minLevel or deeper — is
 	// required for the precision guarantee: a stale candidate reference on
 	// a deep cell could otherwise point at a polygon arbitrarily far away.
-	var interior []refs.Ref
-	var boundary []boundaryCtx
-	var edges []geom.Segment
+	iMark, bMark, eMark := len(r.interior), len(r.boundary), len(r.edges)
 	bound := id.Bound()
-	for _, r := range n.refs {
-		if r.Interior() {
-			interior = append(interior, r)
+	for _, ref := range n.refs {
+		if ref.Interior() {
+			r.interior = append(r.interior, ref)
 			continue
 		}
-		poly := polys[r.PolygonID()]
-		start := len(edges)
+		poly := r.polys[ref.PolygonID()]
+		start := len(r.edges)
 		var rel geom.RectRelation
-		rel, edges = seedRelate(edges, poly, bound)
-		switch rel {
-		case geom.RectInside:
-			interior = append(interior, refs.MakeRef(r.PolygonID(), true))
-		case geom.RectPartial:
-			boundary = append(boundary, boundaryCtx{ref: r, poly: poly, edges: edges[start:len(edges):len(edges)]})
-		}
-		// Disjoint references are dropped.
+		rel, r.edges = seedRelate(r.edges, poly, bound)
+		r.classify(rel, ref, poly, start)
 	}
+	interior := r.interior[iMark:len(r.interior):len(r.interior)]
+	boundary := r.boundary[bMark:len(r.boundary):len(r.boundary)]
 
-	if len(boundary) == 0 {
-		// Nothing left to refine: either drop the cell or keep it as a
-		// (possibly promoted) pure true-hit cell.
-		sc.dir.removeRefs(id, n.refs)
-		if len(interior) == 0 {
-			n.hasCell = false
-			n.refs = nil
-			sc.numCells--
-		} else {
-			n.refs = refs.Normalize(interior)
-			sc.dir.addRefs(id, n.refs)
-		}
-		return
-	}
-	if id.Level() >= minLevel {
-		// Deep enough already: keep the cell, but with the cleaned-up
+	r.dir.removeRefs(id, n.refs)
+	switch {
+	case len(boundary) == 0 && len(interior) == 0:
+		// Every reference was disjoint: drop the cell.
+		n.hasCell = false
+		n.refs = nil
+		r.sc.numCells--
+	case len(boundary) == 0 || id.Level() >= r.minLevel:
+		// Nothing left to refine, or deep enough already: keep the cell
+		// (possibly promoted to a pure true-hit cell) with the cleaned-up
 		// reference set.
-		all := interior
-		for _, bc := range boundary {
-			all = append(all, bc.ref)
-		}
-		sc.dir.removeRefs(id, n.refs)
-		n.refs = refs.Normalize(all)
-		sc.dir.addRefs(id, n.refs)
-		return
+		n.refs = finalRefs(interior, boundary)
+		r.dir.addRefs(id, n.refs)
+	default:
+		// Replace the boundary cell with classified descendants.
+		n.hasCell = false
+		n.refs = nil
+		r.sc.numCells--
+		r.splitBoundary(n, id, interior, boundary)
 	}
-
-	// Replace the boundary cell with classified descendants.
-	sc.dir.removeRefs(id, n.refs)
-	n.hasCell = false
-	n.refs = nil
-	sc.numCells--
-	sc.splitBoundary(n, id, interior, boundary, minLevel)
+	r.interior, r.boundary, r.edges = r.interior[:iMark], r.boundary[:bMark], r.edges[:eMark]
 }
 
 // splitBoundary recursively subdivides a boundary region down to minLevel.
 // interior references apply to the whole subtree; boundary contexts are
-// reclassified per child with shrinking clipped edge sets.
-func (sc *SuperCovering) splitBoundary(n *node, id cellid.CellID, interior []refs.Ref, boundary []boundaryCtx, minLevel int) {
+// reclassified per child with shrinking clipped edge sets. All four child
+// bounds come from one decode of id (ChildBounds), and each child's
+// classification lives on the descent stacks above its parent's frame.
+func (r *refiner) splitBoundary(n *node, id cellid.CellID, interior []refs.Ref, boundary []boundaryCtx) {
+	bounds := id.ChildBounds()
 	for i := 0; i < 4; i++ {
 		childID := id.Child(i)
-		childBound := childID.Bound()
-
-		childInterior := append([]refs.Ref{}, interior...)
-		var childBoundary []boundaryCtx
+		iMark, bMark, eMark := len(r.interior), len(r.boundary), len(r.edges)
+		r.interior = append(r.interior, interior...)
 		for _, bc := range boundary {
-			rel, clipped := cover.ClippedRelate(bc.poly, childBound, bc.edges)
-			switch rel {
-			case geom.RectInside:
-				childInterior = append(childInterior, refs.MakeRef(bc.ref.PolygonID(), true))
-			case geom.RectPartial:
-				childBoundary = append(childBoundary, boundaryCtx{ref: bc.ref, poly: bc.poly, edges: clipped})
-			}
+			start := len(r.edges)
+			var rel geom.RectRelation
+			rel, r.edges = cover.ClippedRelate(r.edges, bc.poly, bounds[i], bc.edges)
+			r.classify(rel, bc.ref, bc.poly, start)
 		}
+		childInterior := r.interior[iMark:len(r.interior):len(r.interior)]
+		childBoundary := r.boundary[bMark:len(r.boundary):len(r.boundary)]
 
-		if len(childBoundary) == 0 && len(childInterior) == 0 {
-			continue // child is outside every referenced polygon
-		}
-
-		child := &node{}
-		n.children[i] = child
-
-		if len(childBoundary) == 0 || childID.Level() >= minLevel {
+		switch {
+		case len(childBoundary) == 0 && len(childInterior) == 0:
+			// The child is outside every referenced polygon.
+		case len(childBoundary) == 0 || childID.Level() >= r.minLevel:
 			// Terminal: pure true-hit cell, or precision bound reached.
-			all := childInterior
-			for _, bc := range childBoundary {
-				all = append(all, bc.ref)
+			child := &node{hasCell: true, refs: finalRefs(childInterior, childBoundary)}
+			n.children[i] = child
+			r.dir.addRefs(childID, child.refs)
+			r.sc.numCells++
+		default:
+			child := &node{}
+			n.children[i] = child
+			r.splitBoundary(child, childID, childInterior, childBoundary)
+			if !child.hasCell && !child.hasChildren() {
+				// The recursion classified every grandchild as disjoint: no
+				// cell materialized, so the node must not stay (see
+				// pruneEmptyAt).
+				n.children[i] = nil
 			}
-			child.hasCell = true
-			child.refs = refs.Normalize(all)
-			sc.dir.addRefs(childID, child.refs)
-			sc.numCells++
-			continue
 		}
-		sc.splitBoundary(child, childID, childInterior, childBoundary, minLevel)
-		if !child.hasCell && !child.hasChildren() {
-			// The recursion classified every grandchild as disjoint: no cell
-			// materialized, so the node must not stay (see pruneEmptyAt).
-			n.children[i] = nil
-		}
+		r.interior, r.boundary, r.edges = r.interior[:iMark], r.boundary[:bMark], r.edges[:eMark]
 	}
 }

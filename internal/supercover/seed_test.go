@@ -149,7 +149,7 @@ func segmentKeys(segs []geom.Segment) [][4]uint64 {
 // prefix already in dst must be kept as it is.
 func checkSeed(t *testing.T, name string, p *geom.Polygon, r geom.Rect) {
 	t.Helper()
-	want, wantEdges := cover.ClippedRelate(p, r, cover.Edges(p))
+	want, wantEdges := cover.ClippedRelate(nil, p, r, cover.Edges(p))
 	prefix := []geom.Segment{{A: geom.Point{X: 1, Y: 2}, B: geom.Point{X: 3, Y: 4}}}
 	got, dst := seedRelate(prefix, p, r)
 	if dst[0] != prefix[0] {

@@ -28,14 +28,15 @@
 // node with neither a cell nor children (refinement and training prune the
 // chains they empty, see pruneEmptyAt).
 //
-// Two pieces of writer-side bookkeeping ride along with every mutation:
+// Two pieces of writer-side bookkeeping ride along with the mutations:
 //
 //   - Dirty-region tracking (dirty.go) records the subtree roots each
 //     mutation touched, so an incremental freeze re-emits only those
 //     regions and a transaction abort resets only them (ResetRegion).
 //   - The per-polygon cell directory (directory.go) maintains the reverse
 //     polygon→cells mapping, making RemovePolygon and ReferencedPolygons
-//     O(footprint) instead of O(index).
+//     O(footprint) instead of O(index). Runtime mutations keep it in step
+//     inline; bulk refinement rebuilds it once when it ends.
 package supercover
 
 import (
@@ -80,9 +81,10 @@ type SuperCovering struct {
 	dirtyAll bool
 
 	// dir is the per-polygon footprint directory (see directory.go): the
-	// reverse polygon→cells mapping every mutation maintains, making
-	// RemovePolygon and ReferencedPolygons O(footprint). walkRemoval forces
-	// the pre-directory full-tree removal walk (see SetWalkRemoval).
+	// reverse polygon→cells mapping, kept in step by every mutation (bulk
+	// refinement by rebuilding it once), making RemovePolygon and
+	// ReferencedPolygons O(footprint). walkRemoval forces the pre-directory
+	// full-tree removal walk (see SetWalkRemoval).
 	dir         directory
 	walkRemoval bool
 }
