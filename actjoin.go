@@ -63,7 +63,10 @@ type Option func(*options) error
 // WithPrecision enables the approximate mode with the given distance bound
 // in meters: every point reported for a polygon is inside it or within
 // `meters` of it, and approximate queries never run PIP tests. The paper's
-// headline configuration is 4 meters.
+// headline configuration is 4 meters. The refinement level is fixed at
+// construction, at the latitude of the initial polygons' bound nearest the
+// equator, where cells are widest; a later Add nearer the equator refines
+// its own cells deeper.
 func WithPrecision(meters float64) Option {
 	return func(o *options) error {
 		if meters <= 0 || math.IsNaN(meters) || math.IsInf(meters, 0) {
@@ -122,11 +125,11 @@ func (o options) coverOptions() supercover.Options {
 
 // Index is the writer handle of a point-polygon join index. It partitions
 // the covering into contiguous cell-id ranges, each owned by a shard — a
-// complete engine with its own super covering, encoder, published snapshot,
+// complete engine with its own super covering, encoder, frozen part,
 // writer mutex and background compactor — and publishes immutable
-// Snapshots, composed from the shards', that serve all queries. NewIndex
-// builds one shard, which is the paper's index; NewShardedIndex builds
-// more.
+// Snapshots, composed from the shards' parts, that serve all queries.
+// NewIndex builds one shard, which is the paper's index; NewShardedIndex
+// builds more.
 //
 // The partitioning is the space-oriented one of Tsitsigkos et al.
 // ("Two-layer Space-oriented Partitioning"): split once along the cell-id
@@ -140,25 +143,24 @@ func (o options) coverOptions() supercover.Options {
 // identically. At one shard the split is the identity.
 //
 // Concurrency contract: every method of Index is safe for concurrent use.
-// Mutations rebuild the frozen structures off to the side and publish with
-// an atomic pointer swap per shard — they never block queries, and queries
-// never block them. The read path (Current and the Snapshot it returns)
-// takes no locks in the common case. Three lock classes are taken, always
-// in this order:
+// Mutations rebuild the frozen structures off to the side and publish the
+// composed view with one atomic pointer swap — they never block queries,
+// and queries never block them. The read path (Current and the Snapshot it
+// returns) takes no locks. Three lock classes are taken, always in this
+// order:
 //
 //	regMu (reg) > wmu (commit) > one shard's mu (mu)
 //
 // regMu guards the polygon-id registry: the id space is global, so
 // assignment and removal claims serialize here (and Apply holds it for the
-// whole transaction, keeping staged ids stable). wmu is the commit lock:
-// single-shard mutations hold it shared — they touch one shard's mutex and
-// publish atomically, so mutations of different shards run concurrently —
-// while multi-shard commits (Apply, Train, and a mutation whose polygon
-// spans shards) hold it exclusively and bracket their fan-out with a
-// generation bump so composed readers can detect (and wait out) a commit in
-// flight. No path ever holds two shards' mutexes at once, and no shard
-// method calls back into the Index, so the order is acyclic by
-// construction.
+// whole transaction, keeping staged ids stable). wmu is the commit lock, and
+// every write of the view happens under it: single-shard mutations and a
+// shard's background-compaction landing hold it shared and swap their own
+// shard's slot of the view in with a compare-and-swap, so shards publish
+// concurrently; multi-shard commits (Apply, Train, and a mutation whose
+// polygon spans shards) hold it exclusively, build every shard's part, and
+// publish them all in one store. No path ever holds two shards' mutexes at
+// once, so the order is acyclic by construction.
 type Index struct {
 	noCopy noCopy
 
@@ -167,11 +169,12 @@ type Index struct {
 	shards []*shard
 	router shardRouter
 
-	// gen is the cross-shard commit generation (a seqlock): odd while a
-	// multi-shard commit is fanning out under wmu, even otherwise. Current
-	// retries its shard-snapshot gather until it reads the same even value
-	// on both sides, so a composed snapshot never spans a torn commit.
-	gen atomic.Uint64 //act:seqlock commit
+	// view is the composed snapshot Current hands out: one part per shard,
+	// written only under wmu (see the struct comment).
+	//
+	//act:published
+	//act:atomic
+	view atomic.Pointer[Snapshot]
 
 	// wmu is the commit lock; see the struct comment for the sharing rule.
 	wmu sync.RWMutex //act:lock commit
@@ -231,6 +234,7 @@ func NewIndex(polygons []Polygon, opts ...Option) (*Index, error) {
 // answers every query identically.
 //
 //act:exclusive
+//act:publisher
 func NewShardedIndex(polygons []Polygon, shards int, opts ...Option) (*Index, error) {
 	if shards < 1 || shards > MaxShards {
 		return nil, fmt.Errorf("actjoin: shard count must be in [1, %d], got %d", MaxShards, shards)
@@ -284,7 +288,7 @@ func NewShardedIndex(polygons []Polygon, shards int, opts ...Option) (*Index, er
 
 	precisionLevel := 0
 	if o.precisionMeters > 0 {
-		precisionLevel = cellid.LevelForMaxDiagonalMeters(o.precisionMeters, bound.Center().Y)
+		precisionLevel = cellid.LevelForMaxDiagonalMeters(o.precisionMeters, equatorNearestLat(bound))
 	}
 
 	ix := &Index{
@@ -294,6 +298,7 @@ func NewShardedIndex(polygons []Polygon, shards int, opts ...Option) (*Index, er
 		precisionLevel: precisionLevel,
 		regOwners:      masks,
 	}
+	parts := make([]*part, ns)
 	for si := range ix.shards {
 		sc := supercover.New()
 		sc.SetWalkRemoval(o.walkRemoval)
@@ -320,12 +325,14 @@ func NewShardedIndex(polygons []Polygon, shards int, opts ...Option) (*Index, er
 		if precisionLevel > 0 {
 			sc.RefineToPrecision(polys, precisionLevel)
 		}
-		sh := &shard{polys: polys, sc: sc, opt: o, precisionLevel: precisionLevel}
+		sh := &shard{ix: ix, slot: si, polys: polys, sc: sc, opt: o, precisionLevel: precisionLevel}
 		if err := sh.publish(); err != nil {
 			return nil, err
 		}
 		ix.shards[si] = sh
+		parts[si] = sh.cur
 	}
+	ix.view.Store(&Snapshot{parts: parts, router: router})
 	return ix, nil
 }
 
@@ -363,50 +370,11 @@ func toGeom(p Polygon) (*geom.Polygon, error) {
 	return geom.NewPolygon(rings...)
 }
 
-// seqlockSpins bounds Current's optimistic retries before it serializes
-// behind the committers on the commit lock.
-const seqlockSpins = 64
-
 // Current returns the most recently published snapshot, safe to call from
-// any goroutine at any rate. The snapshot is immutable — hold it for as
-// long as one consistent view is needed, and call Current again whenever a
-// fresher one is wanted.
-//
-// With one shard it is a single atomic load of the shard's own snapshot.
-// With more it composes one pinned snapshot per shard, gathered while no
-// multi-shard commit was in flight: read the commit generation, gather the
-// shards' atomic snapshot pointers, and retry if the generation moved (a
-// seqlock); under sustained multi-shard commit pressure it falls back to
-// sharing the commit lock, which commits leave with an even generation.
-//
-//act:refresh the seqlock re-reads gen and the shard pointers each attempt by design
-func (ix *Index) Current() *Snapshot {
-	if len(ix.shards) == 1 {
-		return ix.shards[0].cur.Load()
-	}
-	parts := make([]*part, len(ix.shards))
-	for tries := 0; tries < seqlockSpins; tries++ {
-		g := ix.gen.Load()
-		if g&1 != 0 {
-			runtime.Gosched() // a multi-shard commit is fanning out
-			continue
-		}
-		for i, sh := range ix.shards {
-			parts[i] = sh.frozen()
-		}
-		if ix.gen.Load() == g {
-			return &Snapshot{parts: parts, router: ix.router, gen: g}
-		}
-	}
-	// Contended: serialize behind the committers instead of spinning on.
-	ix.wmu.RLock()
-	for i, sh := range ix.shards {
-		parts[i] = sh.frozen()
-	}
-	g := ix.gen.Load()
-	ix.wmu.RUnlock()
-	return &Snapshot{parts: parts, router: ix.router, gen: g}
-}
+// any goroutine at any rate: one atomic load at every shard count. The
+// snapshot is immutable — hold it for as long as one consistent view is
+// needed, and call Current again whenever a fresher one is wanted.
+func (ix *Index) Current() *Snapshot { return ix.view.Load() }
 
 // NumShards returns the effective shard count (possibly lower than
 // requested; see NewShardedIndex).

@@ -13,8 +13,9 @@ import (
 // stop-the-writer compacting rebuild of ~300-470 ms. These benchmarks drive
 // the same churn as BenchmarkSnapshotPublishAddRemove while timing every
 // individual publish, and report the distribution tail. Run with
-// -benchtime 300x or more so the churn crosses several compaction cycles;
-// the recorded pair is in BENCH_compact.json.
+// -benchtime 300x or more so the churn crosses several compaction cycles.
+// The gated end-to-end record is the ledger's churn workload
+// (BENCHMARK.json, sh cmd/actledger/run.sh).
 
 // benchPublishTail churns b.N Add/Remove pairs (two publishes each), timing
 // each publish, and reports mean, p99 and worst-case latency plus the

@@ -15,10 +15,10 @@ import (
 // radix-split across per-shard pipelines, and parallel publishing, where
 // writers on different shards commit under the shared side of the commit
 // lock instead of one global writer mutex. Each benchmark runs at GOMAXPROCS
-// 1, 2 and 4 so the scaling shape is visible in one sweep; the recorded
-// numbers are in BENCH_shard.json. On a single-vCPU host the >1-proc rows
-// measure time-slicing overhead, not parallel speedup — see the host note
-// there.
+// 1, 2 and 4 so the scaling shape is visible in one sweep. On a
+// single-vCPU host the >1-proc rows measure time-slicing overhead, not
+// parallel speedup. The gated end-to-end record is the ledger's mixed
+// workload (BENCHMARK.json, sh cmd/actledger/run.sh).
 
 type shardBenchFixture struct {
 	sharded map[int]*Index // keyed by effective shard count

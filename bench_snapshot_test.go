@@ -14,8 +14,7 @@ import (
 // and what batch-join throughput looks like with a writer continuously
 // publishing snapshots next to it — the serving regime the snapshot design
 // exists for. Compare against the quiescent join workloads BENCHMARK.json
-// declares (sh cmd/actledger/run.sh); the baseline is recorded in
-// BENCH_snapshot.json.
+// declares (sh cmd/actledger/run.sh).
 
 type snapshotFixture struct {
 	idx   *Index
@@ -101,7 +100,7 @@ func BenchmarkSnapshotPublishAddRemove(b *testing.B) {
 // BenchmarkSnapshotPublishFullRebuildAddRemove is the same churn with
 // incremental publishing switched off: every publish re-freezes all ~0.9M
 // cells, re-encodes the lookup table and rebuilds the trie — the baseline
-// recorded in BENCH_snapshot.json. It flips the fixture's publish mode for
+// incremental publishing is compared against. It flips the fixture's publish mode for
 // its duration (benchmarks in this file run sequentially).
 func BenchmarkSnapshotPublishFullRebuildAddRemove(b *testing.B) {
 	f := snapshotBenchFixture(b)
@@ -131,8 +130,9 @@ func BenchmarkSnapshotPublishFullRebuildAddRemove(b *testing.B) {
 // Each iteration adds a small polygon outside the timer, then times its
 // Remove (locate the polygon's cells via the directory, edit them, publish
 // incrementally). Compare against the Walk variant below, which forces the
-// pre-directory full-quadtree search on the same ~0.9M-cell index; the
-// recorded pair is in BENCH_remove.json.
+// pre-directory full-quadtree search on the same ~0.9M-cell index. The
+// gated end-to-end record is the ledger's churn workload (BENCHMARK.json,
+// sh cmd/actledger/run.sh).
 func BenchmarkSnapshotRemovePublish(b *testing.B) {
 	f := snapshotBenchFixture(b)
 	b.ResetTimer()

@@ -44,11 +44,6 @@ import (
 //	                          a sync/atomic type or a plain word reached via
 //	                          the atomic package functions); atomcheck's
 //	                          discipline applies
-//	//act:seqlock <class>     field: a seqlock generation word (atomic
-//	                          unsigned integer); writers bump it odd/even in
-//	                          paired Add(1)s under the named lock class held
-//	                          exclusively, readers use the even-stable
-//	                          re-check pattern or the class as a fallback
 //	//act:seam                function: a declared fault-injection seam; its
 //	                          body must contain a fault.Hit/MustHit point
 //	//act:ignore-err <why>    site comment: the discarded error on this (or
@@ -72,12 +67,11 @@ type annotations struct {
 	locks        map[types.Object]string // mutex field -> lock-order class
 	pinned       map[types.Object]bool
 	refresh      map[types.Object]bool
-	atomic       map[types.Object]bool   // fields under the atomics discipline
-	seqlock      map[types.Object]string // seqlock generation field -> lock class
-	seam         map[types.Object]bool   // declared fault-injection seams
-	allowAlloc   map[string]string       // "file:line" of the comment -> reason
-	norecover    map[string]string       // "file:line" of the comment -> reason
-	ignoreErr    map[string]string       // "file:line" of the comment -> reason
+	atomic       map[types.Object]bool // fields under the atomics discipline
+	seam         map[types.Object]bool // declared fault-injection seams
+	allowAlloc   map[string]string     // "file:line" of the comment -> reason
+	norecover    map[string]string     // "file:line" of the comment -> reason
+	ignoreErr    map[string]string     // "file:line" of the comment -> reason
 }
 
 func newAnnotations() *annotations {
@@ -96,7 +90,6 @@ func newAnnotations() *annotations {
 		pinned:       map[types.Object]bool{},
 		refresh:      map[types.Object]bool{},
 		atomic:       map[types.Object]bool{},
-		seqlock:      map[types.Object]string{},
 		seam:         map[types.Object]bool{},
 		allowAlloc:   map[string]string{},
 		norecover:    map[string]string{},
@@ -248,7 +241,7 @@ func applyFuncDirective(ann *annotations, obj types.Object, dir directive, bad f
 		ann.publisher[obj] = true
 	case "seam":
 		ann.seam[obj] = true
-	case "guarded", "published", "lock", "pinned", "atomic", "seqlock":
+	case "guarded", "published", "lock", "pinned", "atomic":
 		bad(dir.pos, "//act:%s applies to struct fields, not functions", dir.name)
 	case "allow-alloc", "norecover", "ignore-err":
 		// Collected positionally from the raw comment list; as a doc
@@ -319,18 +312,6 @@ func collectFieldAnnotations(l *loader, ann *annotations, st *ast.StructType, ba
 				for _, name := range f.Names {
 					ann.atomic[l.info.Defs[name]] = true
 				}
-			case "seqlock":
-				if len(dir.args) != 1 {
-					bad(dir.pos, "//act:seqlock needs exactly one lock-class name")
-					continue
-				}
-				if t := l.typeOf(f.Type); t == nil || !isAtomicUint(t) {
-					bad(dir.pos, "//act:seqlock needs an atomic unsigned integer field (atomic.Uint32 or atomic.Uint64)")
-					continue
-				}
-				for _, name := range f.Names {
-					ann.seqlock[l.info.Defs[name]] = dir.args[0]
-				}
 			case "requires", "exclusive", "freezer", "mutates", "hotpath", "refresh", "publisher", "seam":
 				bad(dir.pos, "//act:%s applies to functions, not struct fields", dir.name)
 			case "allow-alloc", "norecover", "ignore-err":
@@ -364,17 +345,4 @@ func isAtomicType(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
-}
-
-// isAtomicUint reports whether t is atomic.Uint32 or atomic.Uint64, the only
-// types a seqlock generation may have: parity is the protocol, so the word
-// must be an unsigned integer bumped through the atomic API.
-func isAtomicUint(t types.Type) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic" &&
-		(obj.Name() == "Uint32" || obj.Name() == "Uint64")
 }

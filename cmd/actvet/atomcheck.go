@@ -11,8 +11,8 @@ import (
 // atomcheck enforces the atomics discipline across the module:
 //
 //   - every struct field of a sync/atomic wrapper type carries //act:atomic
-//     (or //act:seqlock, whose protocol subsumes it) — lock-free state is a
-//     declared contract, not an implementation accident;
+//     — lock-free state is a declared contract, not an implementation
+//     accident;
 //   - an //act:atomic field of a plain word type (the legacy
 //     atomic.LoadUint64(&f) style) is never touched outside the sync/atomic
 //     package functions — one plain read racing the atomic writers is a data
@@ -25,11 +25,10 @@ import (
 //     held lock class or the function drives a CompareAndSwap loop on the
 //     field. Add/Swap/CompareAndSwap are single atomic RMWs and are always
 //     fine;
-//   - Store and Swap on an //act:published field (the snapshot pointer)
-//     appear only in //act:publisher functions. A go-launched literal takes
-//     its publisher status from the declaration it appears in — the
-//     compactor's landing goroutine is a literal inside an annotated
-//     function.
+//   - Store, Swap and CompareAndSwap on an //act:published field (the
+//     snapshot pointer) appear only in //act:publisher functions. A
+//     go-launched literal takes its publisher status from the declaration
+//     it appears in.
 func atomcheck(l *loader, cg *callGraph, ann *annotations, res *resolver) []diagnostic {
 	var diags []diagnostic
 	tracked := map[types.Object]bool{} // fields under the discipline
@@ -64,7 +63,7 @@ func atomcheck(l *loader, cg *callGraph, ann *annotations, res *resolver) []diag
 							if atomicTracked(ann, obj) {
 								tracked[obj] = true
 							}
-							if _, seq := ann.seqlock[obj]; isAtomicType(obj.Type()) && !ann.atomic[obj] && !seq {
+							if isAtomicType(obj.Type()) && !ann.atomic[obj] {
 								diags = append(diags, diagnostic{
 									pos:      l.position(name.Pos()),
 									analyzer: "atomcheck",
@@ -95,7 +94,7 @@ func atomcheck(l *loader, cg *callGraph, ann *annotations, res *resolver) []diag
 	for _, ctx := range cg.contexts {
 		publisher := ann.publisher[ctx.obj] || ctx.obj == nil && ann.publisher[ctx.encl]
 		for _, op := range ctx.atomics {
-			if ann.published[op.field] && !publisher && (op.op == "Store" || op.op == "Swap") {
+			if ann.published[op.field] && !publisher && (op.op == "Store" || op.op == "Swap" || op.op == "CompareAndSwap") {
 				diags = append(diags, diagnostic{
 					pos:      l.position(op.pos),
 					analyzer: "atomcheck",

@@ -2,7 +2,6 @@ package main
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -46,15 +45,14 @@ type lockEvent struct {
 }
 
 // atomicOp is one sync/atomic operation on a struct field under the atomics
-// discipline (//act:atomic, //act:seqlock, or simply a sync/atomic-typed
-// field): a method call on an atomic wrapper type or a legacy
+// discipline (//act:atomic, or simply a sync/atomic-typed field): a method
+// call on an atomic wrapper type or a legacy
 // atomic.LoadX/StoreX/AddX/... call on the field's address.
 type atomicOp struct {
 	field    types.Object
 	op       string // Load, Store, Add, Swap, CompareAndSwap, ...
 	pos      token.Pos
 	end      token.Pos // the call's closing parenthesis: when it has run
-	argOne   bool      // for Add: the delta is the constant 1
 	deferred bool
 }
 
@@ -219,19 +217,9 @@ func (cg *callGraph) lockEventOf(l *loader, ann *annotations, call *ast.CallExpr
 }
 
 // atomicTracked reports whether fld is under the atomics discipline: a
-// sync/atomic-typed struct field, or one annotated //act:atomic or
-// //act:seqlock.
+// sync/atomic-typed struct field, or one annotated //act:atomic.
 func atomicTracked(ann *annotations, fld types.Object) bool {
-	if fld == nil {
-		return false
-	}
-	if ann.atomic[fld] {
-		return true
-	}
-	if _, ok := ann.seqlock[fld]; ok {
-		return true
-	}
-	return isAtomicType(fld.Type())
+	return fld != nil && (ann.atomic[fld] || isAtomicType(fld.Type()))
 }
 
 // atomicOpOf recognizes a sync/atomic operation on a tracked struct field:
@@ -246,7 +234,7 @@ func atomicOpOf(l *loader, ann *annotations, call *ast.CallExpr) (atomicOp, bool
 	if inner, ok := unparen(sel.X).(*ast.SelectorExpr); ok {
 		if fld := l.fieldOf(inner); fld != nil && isAtomicType(fld.Type()) && atomicTracked(ann, fld) {
 			if op, ok := atomicOpName(sel.Sel.Name); ok {
-				return atomicOp{field: fld, op: op, pos: call.Pos(), end: call.Rparen, argOne: op == "Add" && len(call.Args) > 0 && isConstOne(l, call.Args[0])}, true
+				return atomicOp{field: fld, op: op, pos: call.Pos(), end: call.Rparen}, true
 			}
 		}
 	}
@@ -256,7 +244,7 @@ func atomicOpOf(l *loader, ann *annotations, call *ast.CallExpr) (atomicOp, bool
 			if ue, isAddr := unparen(call.Args[0]).(*ast.UnaryExpr); isAddr && ue.Op == token.AND {
 				if fsel, ok := unparen(ue.X).(*ast.SelectorExpr); ok {
 					if fld := l.fieldOf(fsel); atomicTracked(ann, fld) {
-						return atomicOp{field: fld, op: op, pos: call.Pos(), end: call.Rparen, argOne: op == "Add" && len(call.Args) > 1 && isConstOne(l, call.Args[1])}, true
+						return atomicOp{field: fld, op: op, pos: call.Pos(), end: call.Rparen}, true
 					}
 				}
 			}
@@ -274,16 +262,6 @@ func atomicOpName(name string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// isConstOne reports whether e is the constant 1.
-func isConstOne(l *loader, e ast.Expr) bool {
-	tv, ok := l.info.Types[e]
-	if !ok || tv.Value == nil {
-		return false
-	}
-	v, ok := constant.Uint64Val(tv.Value)
-	return ok && v == 1
 }
 
 // heldAt reports whether class is held at pos within a context, given the

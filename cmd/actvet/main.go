@@ -5,7 +5,7 @@
 // is never written through, hot probe loops stay allocation-free, and the
 // published-snapshot pointer is swapped only by the publish machinery. Those
 // rules are declared in the source as machine-readable //act: annotations
-// (see docs/ANNOTATIONS.md), and actvet checks them with ten analyzers.
+// (see docs/ANNOTATIONS.md), and actvet checks them with nine analyzers.
 //
 // Per-function checks:
 //
@@ -49,11 +49,6 @@
 //     under a held lock class or a CompareAndSwap loop; Store/Swap on the
 //     //act:published snapshot pointer appear only in //act:publisher
 //     functions.
-//   - seqcheck: an //act:seqlock <class> generation field follows the
-//     seqlock protocol — writers bump odd/even in paired Add(1)s (the
-//     restore deferred, so a panic exit cannot strand readers on an odd
-//     generation) under the class held exclusively; readers use the
-//     even-stable re-check pattern or hold the class.
 //   - faultcov: //act:seam functions contain a fault.Hit/MustHit point, and
 //     the fault package's Point constants, its Points() registry, the
 //     docs/ANNOTATIONS.md injection-point table and the _test.go rules that
@@ -206,7 +201,6 @@ func vet(cwd string, patterns []string) ([]diagnostic, error) {
 	diags = append(diags, lockorder(l, cg, ann, res)...)
 	diags = append(diags, snapcheck(l, cg, ann)...)
 	diags = append(diags, atomcheck(l, cg, ann, res)...)
-	diags = append(diags, seqcheck(l, cg, ann, res)...)
 	diags = append(diags, faultcov(l, cg, ann)...)
 	ab, err := allocbound(l, cg, ann)
 	if err != nil {

@@ -75,8 +75,6 @@ func runFixture(t *testing.T, dir string) {
 			diags = append(diags, errcheck(l, p, ann)...)
 		case "atomcheck":
 			diags = append(diags, atomcheck(l, cg, ann, res)...)
-		case "seqcheck":
-			diags = append(diags, seqcheck(l, cg, ann, res)...)
 		case "faultcov":
 			diags = append(diags, faultcov(l, cg, ann)...)
 		case "lockorder":

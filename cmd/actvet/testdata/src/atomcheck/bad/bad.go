@@ -1,6 +1,7 @@
 // Package fixture exercises atomcheck: undeclared atomic fields, mixed
 // plain/atomic access on a legacy word, by-value copies of atomic wrappers,
-// and racy load-then-store read-modify-write sequences.
+// racy load-then-store read-modify-write sequences, and a CAS loop on the
+// published pointer outside the publish machinery.
 package fixture
 
 import (
@@ -52,4 +53,24 @@ func (c *counter) lostUpdate() {
 // completes before the Store that encloses it.
 func (c *counter) bumpInline() {
 	c.hits.Store(c.hits.Load() + 1) // want `load-then-store on atomic field hits is a racy read-modify-write`
+}
+
+// view is a published composed snapshot, replaced slot by slot.
+type view struct {
+	//act:published
+	//act:atomic
+	cur atomic.Pointer[[]int]
+}
+
+// swapSlot's CAS loop is a publish all the same: outside an
+// //act:publisher function it bypasses the publish machinery.
+func (v *view) swapSlot(i, x int) {
+	for {
+		old := v.cur.Load()
+		next := append([]int(nil), *old...)
+		next[i] = x
+		if v.cur.CompareAndSwap(old, &next) { // want `CompareAndSwap on published field cur outside an //act:publisher function`
+			return
+		}
+	}
 }

@@ -1,7 +1,7 @@
 // Package fixture shows the shapes atomcheck accepts: declared atomic
 // fields operated through their methods, a legacy word reached only via
-// sync/atomic, single-op RMWs, a CAS loop, and lock-protected
-// load-then-stores.
+// sync/atomic, single-op RMWs, a CAS loop, lock-protected load-then-stores,
+// and a declared publisher's CAS loop on the published pointer.
 package fixture
 
 import (
@@ -61,4 +61,25 @@ type gauge struct {
 func (g *gauge) raise(by int64) {
 	v := g.level.Load()
 	g.level.Store(v + by)
+}
+
+// view is a published composed snapshot, replaced slot by slot.
+type view struct {
+	//act:published
+	//act:atomic
+	cur atomic.Pointer[[]int]
+}
+
+// swapSlot is a declared publisher, so its CAS loop may replace the view.
+//
+//act:publisher
+func (v *view) swapSlot(i, x int) {
+	for {
+		old := v.cur.Load()
+		next := append([]int(nil), *old...)
+		next[i] = x
+		if v.cur.CompareAndSwap(old, &next) {
+			return
+		}
+	}
 }

@@ -36,11 +36,11 @@ import (
 //     publish's dirty roots in a replay log, with the garbage thresholds
 //     raised to *hard caps* so memory stays bounded if the compaction is
 //     slow.
-//  3. On completion the compactor takes the writer mutex, re-applies the
-//     replay log against the fresh base through the ordinary patch
-//     machinery (the regions are re-emitted from the current writer state,
-//     so the result is byte-identical to an inline rebuild of that state),
-//     and swaps the reconciled snapshot in. The fresh encoder replaces the
+//  3. On completion the compactor takes the commit lock (shared) and the
+//     writer mutex, re-applies the replay log against the fresh base
+//     through the ordinary patch machinery (the regions are re-emitted from
+//     the current writer state, so the result is byte-identical to an
+//     inline rebuild of that state), and swaps the reconciled part in. The fresh encoder replaces the
 //     live one; the old chain's garbage becomes unreferenced memory that
 //     the Go runtime reclaims once the last reader of the old snapshots
 //     lets go.
@@ -216,12 +216,12 @@ func (c *compaction) addReplay(roots []cellid.CellID, all bool) {
 // headroom). It reads only immutable state — the rope's cells and their
 // normalized reference lists are shared with published snapshots and are
 // never written — so it is safe to run concurrently with readers of any
-// snapshot and with the writer patching the old chain. live is the shard's
-// published snapshot, read once at the end to size the headroom by how far
-// the writer's chain grew past base meanwhile. cancel (optional) is polled
+// snapshot and with the writer patching the old chain. live returns the
+// shard's published part, read once at the end to size the headroom by how
+// far the writer's chain grew past base meanwhile. cancel (optional) is polled
 // between phases so an abandoned build stops burning CPU; a cancelled build
 // returns nil.
-func compactBase(base *part, live *atomic.Pointer[Snapshot], cancel *atomic.Bool) *compactResult {
+func compactBase(base *part, live func() *part, cancel *atomic.Bool) *compactResult {
 	cancelled := func() bool { return cancel != nil && cancel.Load() }
 	cells := base.cells.appendAll(make([]supercover.Cell, 0, base.cells.Len()))
 	if cancelled() {
@@ -233,12 +233,9 @@ func compactBase(base *part, live *atomic.Pointer[Snapshot], cancel *atomic.Bool
 		return nil
 	}
 	tree := act.Build(kvs, base.opt.delta)
-	flight := 0
-	if cur := live.Load(); cur != nil {
-		// Meaningless if an inline rebuild replaced the chain meanwhile,
-		// but that rebuild also abandoned this compaction.
-		flight = cur.parts[0].tree.ArenaNodes() - base.tree.ArenaNodes()
-	}
+	// Meaningless if an inline rebuild replaced the chain meanwhile, but
+	// that rebuild also abandoned this compaction.
+	flight := live().tree.ArenaNodes() - base.tree.ArenaNodes()
 	tree.GrowArena(compactionArenaHeadroom(tree.ArenaNodes(), flight))
 	return &compactResult{cells: ropeFromCells(cells), tree: tree, enc: enc}
 }
@@ -250,7 +247,7 @@ func compactBase(base *part, live *atomic.Pointer[Snapshot], cancel *atomic.Bool
 // a nil error when the build observed cancellation and stopped early.
 //
 //act:seam
-func buildCompaction(c *compaction, live *atomic.Pointer[Snapshot]) (res *compactResult, err error) {
+func buildCompaction(c *compaction, live func() *part) (res *compactResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("compaction build panicked: %v", r)
@@ -299,7 +296,7 @@ func (sh *shard) runCompaction(c *compaction, hold chan struct{}, retryBase time
 	var res *compactResult
 	for attempt := 0; ; attempt++ {
 		var err error
-		res, err = buildCompaction(c, &sh.cur)
+		res, err = buildCompaction(c, sh.published)
 		if res != nil || c.cancel.Load() {
 			break
 		}
@@ -347,15 +344,20 @@ func (sh *shard) dropCompaction(c *compaction) {
 	}
 }
 
-// landGuarded performs the landing under the writer mutex. The recover
-// runs after the deferred unlock (LIFO), so a panic between build
-// completion and the snapshot swap — the CompactSwap injection point
-// models exactly that window — releases the mutex before it is turned into
-// an error: the writer never blocks on a failed landing, and no
-// half-reconciled snapshot is ever published (reconcileLocked publishes
-// nothing until it returns a fully patched snapshot).
+// landGuarded performs the landing under the commit lock, shared, and the
+// writer mutex, taken in the order every commit takes them. The commit lock
+// keeps the landing out of a multi-shard commit in flight, whose single
+// store would otherwise overwrite the landed part, and whose replay roots
+// the landed part would expose before the other shards publish theirs.
+// (A writer blocked on c.done holds the commit lock too, but finish closes
+// done before the landing starts.) The recover runs after the deferred
+// unlocks (LIFO), so a panic between build completion and the swap — the
+// CompactSwap injection point models exactly that window — releases both
+// locks before it is turned into an error: the writer never blocks on a
+// failed landing, and no half-reconciled part is ever published
+// (reconcileLocked publishes nothing until it returns a fully patched
+// part).
 //
-//act:publisher
 //act:seam
 func (sh *shard) landGuarded(c *compaction) (err error) {
 	defer func() {
@@ -363,6 +365,8 @@ func (sh *shard) landGuarded(c *compaction) (err error) {
 			err = fmt.Errorf("compaction landing panicked: %v", r)
 		}
 	}()
+	sh.ix.wmu.RLock()
+	defer sh.ix.wmu.RUnlock()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.compacting != c {
@@ -374,11 +378,12 @@ func (sh *shard) landGuarded(c *compaction) (err error) {
 	}
 	fault.MustHit(fault.CompactSwap)
 	if s := sh.reconcileLocked(c); s != nil {
-		// The reconciled snapshot is byte-identical to the currently
-		// published one (same cells, same polygons — only the backing
-		// arena, table and rope are fresh), so swapping it in is
-		// invisible to readers and needs no writer involvement.
-		sh.cur.Store(onePart(s))
+		// The reconciled part is byte-identical to the currently published
+		// one (same cells, same polygons — only the backing arena, table
+		// and rope are fresh), so swapping it in is invisible to readers
+		// and needs no writer involvement.
+		sh.cur = s
+		sh.publishView()
 	}
 	return nil
 }

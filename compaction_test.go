@@ -471,6 +471,7 @@ func TestPoisonedReplayFallsBackInline(t *testing.T) {
 	ix.shards[0].mu.Lock()
 	ix.shards[0].sc.RefineToPrecision(ix.shards[0].polys, ix.Current().parts[0].tree.MaxCellLevel()+1)
 	ix.shards[0].publish()
+	ix.shards[0].publishView()
 	ix.shards[0].mu.Unlock()
 	close(hold)
 
@@ -509,7 +510,7 @@ func TestPatchesDoNotGrowCompactedArena(t *testing.T) {
 	arena := func() (capNodes, replacements int) {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return sh.cur.Load().parts[0].tree.ArenaCapNodes(), sh.compactionsLanded + sh.full
+		return sh.cur.tree.ArenaCapNodes(), sh.compactionsLanded + sh.full
 	}
 	squares := make([]Polygon, 16)
 	for i := range squares {

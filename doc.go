@@ -38,13 +38,13 @@
 //
 // An Index partitions its covering into contiguous cell-id ranges, each
 // served by a shard with its own writer mutex and background compactor.
-// NewIndex builds one shard — the paper's index, for which Current is a
-// single atomic load. NewShardedIndex builds more, for multi-core
-// deployments: writers on different shards publish concurrently and shard
-// failures are isolated (Health reports per-shard state; ShardOf maps a
-// point to its failure domain). Current then returns a
-// generation-consistent cut across all shards taken under a seqlock, so a
-// view never observes half of a cross-shard Apply or Train. Every shard
+// NewIndex builds one shard — the paper's index. NewShardedIndex builds
+// more, for multi-core deployments: writers on different shards publish
+// concurrently and shard failures are isolated (Health reports per-shard
+// state; ShardOf maps a point to its failure domain). Current is one
+// atomic load at every shard count: the index publishes one composed
+// snapshot, and a cross-shard Apply or Train publishes all its shards'
+// parts in one store, so a view never observes half of one. Every shard
 // count answers every query identically, and serializes byte-identically
 // as long as no covering cell had to be split at a shard boundary.
 // Lock order is registry > commit lock > one shard's mutex; no path holds

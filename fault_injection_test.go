@@ -829,8 +829,8 @@ func polyCenter(p Polygon) Point {
 // exactly one shard answers for any covered point.
 func shardOwning(t *testing.T, six *Index, p Point) int {
 	t.Helper()
-	for si, sh := range six.shards {
-		if len(sh.cur.Load().Covers(p)) > 0 {
+	for si := range six.shards {
+		if len(onePart(six.Current().parts[si]).Covers(p)) > 0 {
 			return si
 		}
 	}
@@ -922,7 +922,7 @@ func TestShardQuarantineIsolation(t *testing.T) {
 	// and the composed stream round-trips through a one-shard load.
 	probes := randPoints(rng, 60)
 	for si, sh := range six.shards {
-		assertSnapshotsEqual(t, fmt.Sprintf("shard %d rebuild", si), sh.cur.Load(), onePart(fullFreezeShard(sh)), probes)
+		assertSnapshotsEqual(t, fmt.Sprintf("shard %d rebuild", si), onePart(six.Current().parts[si]), onePart(fullFreezeShard(sh)), probes)
 	}
 	var buf bytes.Buffer
 	if _, err := six.Current().WriteTo(&buf); err != nil {
@@ -1031,7 +1031,7 @@ func TestShardCommitRollback(t *testing.T) {
 		t.Fatalf("recommitted batch not visible: Removed = %v, %v", s.Removed(ids[0]), s.Removed(ids[1]))
 	}
 	for si, sh := range six.shards {
-		assertSnapshotsEqual(t, fmt.Sprintf("shard %d after recommit", si), sh.cur.Load(), onePart(fullFreezeShard(sh)), probes)
+		assertSnapshotsEqual(t, fmt.Sprintf("shard %d after recommit", si), onePart(six.Current().parts[si]), onePart(fullFreezeShard(sh)), probes)
 	}
 }
 
@@ -1073,7 +1073,7 @@ func shardedChaosRun(t *testing.T, seed int64) {
 		fault.Disable()
 		defer fault.Enable(sched)
 		for si, sh := range six.shards {
-			assertSnapshotsEqual(t, fmt.Sprintf("%s shard %d", ctx, si), sh.cur.Load(), onePart(fullFreezeShard(sh)), probes)
+			assertSnapshotsEqual(t, fmt.Sprintf("%s shard %d", ctx, si), onePart(six.Current().parts[si]), onePart(fullFreezeShard(sh)), probes)
 		}
 		var buf bytes.Buffer
 		if _, err := six.Current().WriteTo(&buf); err != nil {

@@ -1,6 +1,7 @@
 package actjoin
 
 import (
+	"fmt"
 	"testing"
 
 	"actjoin/internal/cellid"
@@ -85,14 +86,20 @@ func TestNoAllocHarness(t *testing.T) {
 		cur.copyRest(out)
 	})
 
-	// A one-shard index hands out its shard's published snapshot as is:
-	// pinning a view costs one atomic load and no allocation.
-	ix, err := NewIndex(testPolygons())
-	if err != nil {
-		t.Fatal(err)
+	// The composed view is published whole, so pinning it costs one atomic
+	// load and no allocation at every shard count (4 requested shards of
+	// the test polygons yield 3).
+	for _, want := range []struct{ requested, min int }{{1, 1}, {2, 2}, {4, 3}} {
+		ix, err := NewShardedIndex(testPolygons(), want.requested)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		if ix.NumShards() < want.min {
+			t.Fatalf("%d requested shards gave %d, want at least %d", want.requested, ix.NumShards(), want.min)
+		}
+		testAllocs(t, fmt.Sprintf("Index.Current (%d shards)", ix.NumShards()), func() {
+			allocSink += len(ix.Current().parts)
+		})
 	}
-	defer ix.Close()
-	testAllocs(t, "Index.Current (one shard)", func() {
-		allocSink += len(ix.Current().parts)
-	})
 }

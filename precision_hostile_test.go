@@ -15,11 +15,6 @@ import (
 // longitude), on a cube-face seam, next to the antimeridian and on the
 // equator, plus NYC and mid-latitude references.
 func hostileTriangles() []Polygon {
-	tri := func(lon, lat, size float64) Polygon {
-		return Polygon{Exterior: Ring{
-			{Lon: lon, Lat: lat}, {Lon: lon + size, Lat: lat + 0.3*size}, {Lon: lon + 0.4*size, Lat: lat + size},
-		}}
-	}
 	return []Polygon{
 		tri(-73.98, 40.75, 0.01), // NYC
 		tri(20, 80, 0.01),        // lat 80
@@ -29,6 +24,14 @@ func hostileTriangles() []Polygon {
 		tri(179.985, 30, 0.01),   // up to lon 179.995
 		tri(30, -0.005, 0.01),    // across the equator
 	}
+}
+
+// tri returns a triangle of the given size in degrees with its first
+// vertex at (lon, lat).
+func tri(lon, lat, size float64) Polygon {
+	return Polygon{Exterior: Ring{
+		{Lon: lon, Lat: lat}, {Lon: lon + size, Lat: lat + 0.3*size}, {Lon: lon + 0.4*size, Lat: lat + size},
+	}}
 }
 
 // hostileProbes returns n points for the polygon: half uniform over its
@@ -57,13 +60,23 @@ func hostileProbes(p *geom.Polygon, rng *rand.Rand, n int) []geom.Point {
 }
 
 // TestApproxWithinPrecisionHostile checks the paper's two guarantees on
-// hostile geometry at 4 m, at 1 and 2 shards, for indexes built by NewIndex
-// and for the same triangles added one by one through incremental
-// publishes: the exact join equals the brute-force oracle, and every false
-// positive of the approximate join lies within 4 m of its polygon.
+// hostile geometry, at 1 and 2 shards, for indexes built by NewIndex and for
+// the same triangles added one by one through incremental publishes: the
+// exact join equals the brute-force oracle, and every false positive of the
+// approximate join lies within the precision bound of its polygon. The
+// inputs are the hostile triangles at 4 m, and a lat-50 triangle indexed
+// together with one at lat 89.9 at 42 m: the build-time refinement level
+// must hold for the set's polygon nearest the equator, not for the middle
+// of its bound.
 func TestApproxWithinPrecisionHostile(t *testing.T) {
-	const precision = 4.0
-	tris := hostileTriangles()
+	t.Run("hostile/4m", func(t *testing.T) { checkPrecisionBound(t, hostileTriangles(), 4) })
+	twoLatitudes := []Polygon{tri(5, 50, 0.01), tri(20, 89.9, 0.01)}
+	t.Run("two-latitudes/42m", func(t *testing.T) { checkPrecisionBound(t, twoLatitudes, 42) })
+}
+
+// checkPrecisionBound runs TestApproxWithinPrecisionHostile's checks on one
+// polygon set at one precision in meters.
+func checkPrecisionBound(t *testing.T, tris []Polygon, precision float64) {
 	geoms := make([]*geom.Polygon, len(tris))
 	for i, p := range tris {
 		g, err := toGeom(p)

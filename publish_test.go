@@ -33,6 +33,10 @@ func fullFreeze(ix *Index) *Snapshot {
 	return &Snapshot{parts: parts, router: ix.router}
 }
 
+// onePart wraps one shard's part as a one-part snapshot, so a shard can be
+// queried and compared on its own.
+func onePart(p *part) *Snapshot { return &Snapshot{parts: []*part{p}} }
+
 // fullFreezeShard is fullFreeze for one shard.
 func fullFreezeShard(sh *shard) *part {
 	sh.mu.Lock()

@@ -139,6 +139,7 @@ func writeIndexPayload(w io.Writer, body []byte) (int64, error) {
 // Index.
 //
 //act:exclusive
+//act:publisher
 //act:seam
 func ReadIndexFrom(r io.Reader) (*Index, error) {
 	if err := fault.Hit(fault.SerializeRead); err != nil {
@@ -261,22 +262,20 @@ func ReadIndexFrom(r io.Reader) (*Index, error) {
 		return nil, fmt.Errorf("actjoin: corrupt granularity %d", delta)
 	}
 	o := options{delta: delta, precisionMeters: precision, coveringCells: 128, interiorCells: 256}
-	sh := &shard{polys: polys, sc: sc, opt: o, precisionLevel: precisionLevel}
-	if err := sh.publish(); err != nil {
-		return nil, err
-	}
 	owners := make([]uint64, len(polys))
 	for i, p := range polys {
 		if p != nil {
 			owners[i] = 1
 		}
 	}
-	return &Index{
-		shards:         []*shard{sh},
-		opt:            o,
-		precisionLevel: precisionLevel,
-		regOwners:      owners,
-	}, nil
+	ix := &Index{opt: o, precisionLevel: precisionLevel, regOwners: owners}
+	sh := &shard{ix: ix, polys: polys, sc: sc, opt: o, precisionLevel: precisionLevel}
+	if err := sh.publish(); err != nil {
+		return nil, err
+	}
+	ix.shards = []*shard{sh}
+	ix.view.Store(&Snapshot{parts: []*part{sh.cur}})
+	return ix, nil
 }
 
 // decoder is a bounds-checked little-endian reader over a byte slice.

@@ -2,6 +2,7 @@ package actjoin
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -106,26 +107,35 @@ func buildShardRouter(covs, ints [][]cellid.CellID, shards int) shardRouter {
 }
 
 // shard is the engine behind one contiguous cell-id range of an Index: its
-// own super covering, encoder, published snapshot, writer mutex and
-// background compactor. It mutates, publishes, compacts, degrades and
-// quarantines independently of every other shard; the Index routes
-// mutations to it as staged op lists (stageShardOp) and composes its
-// published part into Snapshots. With one shard it is the paper's whole
-// index.
+// own super covering, encoder, frozen part, writer mutex and background
+// compactor. It mutates, publishes, compacts, degrades and quarantines
+// independently of every other shard; the Index routes mutations to it as
+// staged op lists (stageShardOp) and composes its parts into Snapshots.
+// With one shard it is the paper's whole index.
 //
-// Concurrency contract: staging and publishing serialize on mu, rebuild
-// the frozen structures off to the side, and publish the result with a
-// single atomic pointer swap — they never block queries, and queries never
-// block them. No shard method calls back into the Index.
+// Concurrency contract: staging and freezing serialize on mu and rebuild
+// the frozen structures off to the side; the new part reaches readers
+// through the Index's composed view (publishView), never by writing
+// anything a published part shares. The only shard path that reaches back
+// into its Index is the compactor's landing, which takes the commit lock
+// before mu, as every commit does.
 type shard struct {
 	noCopy noCopy
+
+	// ix and slot place the shard in its Index: slot is its position in
+	// the composed view's parts, and the compactor's landing takes ix's
+	// commit lock and publishes into ix's view. Immutable after
+	// construction.
+	ix   *Index
+	slot int
 
 	// mu serializes writers; it is never held on any query path.
 	mu sync.Mutex //act:lock mu
 
-	//act:published
-	//act:atomic
-	cur atomic.Pointer[Snapshot]
+	// cur is the shard's latest frozen part: the base the next publish
+	// patches and, outside a multi-shard commit in flight, the part the
+	// composed view holds in slot.
+	cur *part //act:guarded mu
 
 	// Writer-side state. polys is copy-on-write: published snapshots share
 	// the slice, so the first mutation after a publish replaces it instead
@@ -188,14 +198,6 @@ type shard struct {
 	precisionLevel int     // immutable after construction
 }
 
-// frozen returns the shard's published part, nil before the first publish.
-func (sh *shard) frozen() *part {
-	if s := sh.cur.Load(); s != nil {
-		return s.parts[0]
-	}
-	return nil
-}
-
 // noCopy triggers go vet's copylocks analyzer on by-value copies of the
 // struct embedding it. It has no runtime effect.
 type noCopy struct{}
@@ -216,9 +218,10 @@ const (
 	tableMaxGarbageFraction = 0.50 // tombstoned table words before compaction
 )
 
-// publish freezes the writer-side state into a new immutable snapshot and
-// swaps it in; //act:requires states the calling contract (constructors
-// owning a fresh, unshared shard are covered by //act:exclusive).
+// publish freezes the writer-side state into the shard's next part, cur;
+// the caller publishes it (publishView, or the multi-shard commit's single
+// store). //act:requires states the calling contract (constructors owning a
+// fresh, unshared shard are covered by //act:exclusive).
 //
 // In steady state the freeze is incremental: the covering reports the dirty
 // subtree roots of the staged mutations, and the new snapshot is assembled
@@ -233,16 +236,15 @@ const (
 // incremental machinery falls back to the full freeze; a panic in the full
 // freeze itself rewinds the writer to the published snapshot (discarding
 // the staged mutations), replaces the possibly-torn encoder, and returns
-// the error — the published snapshot is never replaced by partial state,
-// and the writer stays usable.
+// the error — cur is never replaced by partial state, and the writer stays
+// usable.
 //
 //act:requires mu
-//act:publisher
 func (sh *shard) publish() error {
 	if sh.enc == nil {
 		sh.enc = cellindex.NewEncoder()
 	}
-	prev := sh.frozen()
+	prev := sh.cur
 	roots, all := sh.sc.TakeDirty()
 	if c := sh.compacting; c != nil {
 		// Whatever this publish changes must be re-applied onto the fresh
@@ -266,8 +268,31 @@ func (sh *shard) publish() error {
 		sh.patched++
 	}
 	sh.polysShared = true // the snapshot aliases sh.polys from here on
-	sh.cur.Store(onePart(s))
+	sh.cur = s
 	return nil
+}
+
+// published returns the shard's part in the composed view. It takes no
+// lock: the compactor reads it to see how far the writer got.
+func (sh *shard) published() *part { return sh.ix.view.Load().parts[sh.slot] }
+
+// publishView swaps cur into the shard's slot of the composed view. The
+// caller holds the commit lock shared as well as mu: single-shard commits
+// and landings of different shards race only on the pointer, so the swap
+// retries until it replaces the view it copied, and a multi-shard commit,
+// which holds the commit lock exclusively, never has one in flight.
+//
+//act:requires mu
+//act:publisher
+func (sh *shard) publishView() {
+	for {
+		old := sh.ix.view.Load()
+		parts := slices.Clone(old.parts)
+		parts[sh.slot] = sh.cur
+		if sh.ix.view.CompareAndSwap(old, &Snapshot{parts: parts, router: old.router}) {
+			return
+		}
+	}
 }
 
 // publishIncrementalGuarded runs the incremental publish under a panic
@@ -294,7 +319,7 @@ func (sh *shard) publishIncrementalGuarded(prev *part, roots []cellid.CellID) (s
 // publishFullGuarded runs the inline full freeze under a panic guard,
 // converting a recovered panic into an error for the caller to surface.
 // Nothing published is touched before the guarded section completes: the
-// snapshot is assembled from fresh buffers and only stored by publish()
+// part is assembled from fresh buffers and only installed by publish()
 // after a nil error.
 //
 //act:requires mu
@@ -328,10 +353,10 @@ func (sh *shard) publishFullGuarded() (s *part, err error) {
 }
 
 // recoverFailedPublish rewinds the writer after a publish that produced no
-// snapshot on any path. The published snapshot was never replaced, so
-// readers saw nothing; the writer-side covering is reset to match it using
-// the dirty roots captured before the attempt (the marks themselves were
-// already consumed by TakeDirty). The encoder's table may be torn mid-encode, so it is
+// part on any path. cur was never replaced, so readers saw nothing; the
+// writer-side covering is reset to match it using the dirty roots captured
+// before the attempt (the marks themselves were already consumed by
+// TakeDirty). The encoder's table may be torn mid-encode, so it is
 // replaced, and fullNext routes the next publish through the full freeze,
 // which rebuilds consistent encoder state from scratch.
 //
@@ -661,35 +686,27 @@ func (sh *shard) resetToSnapshot(s *part, roots []cellid.CellID, all bool) {
 	sh.polysShared = true
 }
 
-// rewindTo force-rewinds the shard to a previously published snapshot,
-// un-publishing whatever landed since: the writer-side state is rebuilt
-// from prev's frozen cells and prev itself is re-stored as the current
-// snapshot. It exists for the cross-shard rollback path — when a
-// multi-shard commit fails partway, the shards that already published their
-// part must take it back so the composed view never exposes a partial
-// batch. (The rolled-back snapshots stay valid for readers that pinned
-// them; the composed reader never completes a pin inside the commit's
-// generation window, so it never observes the partial state.)
+// rewindTo rewinds the shard's writer state to prev, the part it held
+// before a multi-shard commit that failed on a later shard. That commit
+// published nothing, so readers never saw the part being dropped; only the
+// writer, which froze it into cur, must take it back.
 //
 // Unlike after a failed publish, the writer here is *ahead* of prev — its
-// dirty marks were consumed by the successful publish — so the
-// region-scoped undo cannot express the rewind and the covering is rebuilt
-// wholesale. The cost is
-// O(shard), acceptable for a rare failure path. Any in-flight compaction is
-// abandoned (its base may descend from the un-published snapshot) and the
-// encoder is replaced: the next publish takes the full-freeze path, which
-// rebuilds consistent encoder state from scratch.
-//
-//act:publisher
-func (sh *shard) rewindTo(prev *Snapshot) {
+// dirty marks were consumed by the successful freeze — so the region-scoped
+// undo cannot express the rewind and the covering is rebuilt wholesale.
+// The cost is O(shard), acceptable for a rare failure path. Any in-flight
+// compaction is abandoned (its base may descend from the dropped part) and
+// the encoder is replaced: the next publish takes the full-freeze path,
+// which rebuilds consistent encoder state from scratch.
+func (sh *shard) rewindTo(prev *part) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.abandonCompactionLocked()
 	sh.enc = cellindex.NewEncoder()
 	sh.fullNext = true
 	sh.sc.TakeDirty() // drop stale marks; the reset below rebuilds from scratch
-	sh.resetToSnapshot(prev.parts[0], nil, true)
-	sh.cur.Store(prev)
+	sh.resetToSnapshot(prev, nil, true)
+	sh.cur = prev
 }
 
 // restoreRegions resets every dirty subtree from the snapshot's frozen
@@ -758,24 +775,22 @@ type shardOp struct {
 	trainRes *supercover.TrainResult
 }
 
-// applyShardOps stages a routed op batch on this shard and publishes once.
-// It returns the snapshot that was current before the batch, which the
-// multi-shard commit keeps for cross-shard rollback (rewindTo). Staging is
-// always followed by the publish, with no caller code in between, so
-// nothing staged can outlive the call: on a publish failure the shard
-// itself is already rewound (recoverFailedPublish) and its published
-// snapshot unchanged — only the *other* shards of the batch need rewinding.
-func (sh *shard) applyShardOps(ops []shardOp) (prev *Snapshot, err error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+// applyShardOps stages a routed op batch on this shard and freezes it into
+// cur once; the caller publishes. Staging is always followed by the freeze,
+// with no caller code in between, so nothing staged can outlive the call:
+// on a failure the shard itself is already rewound (recoverFailedPublish)
+// and cur unchanged — only the *other* shards of a multi-shard batch need
+// rewinding.
+//
+//act:requires mu
+func (sh *shard) applyShardOps(ops []shardOp) error {
 	if sh.closed {
-		return nil, ErrClosed
+		return ErrClosed
 	}
-	prev = sh.cur.Load()
 	for i := range ops {
 		sh.stageShardOp(&ops[i])
 	}
-	return prev, sh.publish()
+	return sh.publish()
 }
 
 // stageShardOp stages one routed op into the writer-side state, with the

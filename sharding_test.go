@@ -413,7 +413,7 @@ func sentinelSquare(p Point) Polygon {
 // transaction repeatedly adding and removing a sentinel pair, and readers
 // pinning composed snapshots. Invariants: a composed snapshot never shows a
 // torn cross-shard transaction (the sentinel pair is visible atomically),
-// its generation is always even, and Close leaks no goroutines.
+// and Close leaks no goroutines.
 func TestShardedRaceStress(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
 	rng := rand.New(rand.NewSource(77))
@@ -509,10 +509,6 @@ func TestShardedRaceStress(t *testing.T) {
 				default:
 				}
 				s := six.Current()
-				if s.gen&1 != 0 {
-					t.Errorf("reader %d: composed snapshot pinned at odd generation %d", r, s.gen)
-					return
-				}
 				a := len(s.Covers(pA)) > 0
 				b := len(s.Covers(pB)) > 0
 				if a != b {
@@ -537,4 +533,137 @@ func TestShardedRaceStress(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	waitForGoroutines(t, baseGoroutines)
+}
+
+// TestLandingWaitsOutCrossShardCommit interleaves a background compaction's
+// landing with a cross-shard commit on a two-shard index. It parks a
+// finished compaction on shard 0, starts an Apply that adds one polygon to
+// each shard, and holds shard 1's writer mutex so the commit stops after
+// freezing shard 0's part. Then it releases the landing. Until the commit
+// publishes, readers must see neither half of the batch: not through the
+// commit, and not through the landing, whose replay already holds shard 0's
+// half. Afterwards the landing must land on top of the commit: the
+// composed view holds the landed part for shard 0 and both halves of the
+// batch.
+func TestLandingWaitsOutCrossShardCommit(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	six, _ := shardedChaosIndex(t, rng)
+	defer six.Close()
+	sh0, sh1 := six.shards[0], six.shards[1]
+	// inShard draws a cluster square centered in shard si's range (a square
+	// may still reach over the split into the other shard).
+	inShard := func(si int) Polygon {
+		for {
+			if p := clusterSquare(rng, rng.Intn(2)); six.ShardOf(polyCenter(p)) == si {
+				return p
+			}
+		}
+	}
+	release := holdCompactions(sh0)
+	defer release()
+
+	var c *compaction
+	for i := 0; c == nil; i++ {
+		if i > 2000 {
+			t.Fatal("churn never started a compaction on shard 0")
+		}
+		id, err := six.Add(inShard(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := six.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		sh0.mu.Lock()
+		c = sh0.compacting
+		sh0.mu.Unlock()
+	}
+	<-c.done // built; only the parked landing remains
+	sh0.mu.Lock()
+	landed := sh0.compactionsLanded
+	sh0.mu.Unlock()
+
+	// Each half of the batch is a tiny square probed at its center, so
+	// whether a reader sees it depends on one shard's part only.
+	pA, pB := polyCenter(inShard(0)), polyCenter(inShard(1))
+	sentA, sentB := sentinelSquare(pA), sentinelSquare(pB)
+	visible := func(s *Snapshot, p Point, id PolygonID) bool {
+		for _, got := range s.Covers(p) {
+			if got == id {
+				return true
+			}
+		}
+		return false
+	}
+	before := six.Current()
+	staged := make(chan [2]PolygonID, 1)
+	applied := make(chan error, 1)
+	sh1.mu.Lock() // the commit stops at shard 1
+	go func() {
+		applied <- six.Apply(func(tx *Tx) error {
+			a, errA := tx.Add(sentA)
+			b, errB := tx.Add(sentB)
+			staged <- [2]PolygonID{a, b}
+			return errors.Join(errA, errB)
+		})
+	}()
+	ids := <-staged
+	torn := func(ctx string) {
+		t.Helper()
+		s := six.Current()
+		if a, b := visible(s, pA, ids[0]), visible(s, pB, ids[1]); a || b {
+			t.Errorf("%s: readers see the commit in flight: shard 0 half %v, shard 1 half %v", ctx, a, b)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		sh0.mu.Lock()
+		frozen, pending := sh0.cur != before.parts[0], sh0.compacting == c
+		sh0.mu.Unlock()
+		if !pending {
+			sh1.mu.Unlock()
+			t.Fatal("the commit landed the parked compaction itself")
+		}
+		if frozen {
+			break
+		}
+		if time.Now().After(deadline) {
+			sh1.mu.Unlock()
+			t.Fatal("the commit never froze shard 0's part")
+		}
+	}
+	torn("after shard 0 froze its part")
+	release()
+	// The landing must now wait for the commit lock; give a landing that
+	// does not a chance to publish before the commit does.
+	for deadline := time.Now().Add(200 * time.Millisecond); six.Current() == before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	torn("after the landing was released")
+	sh1.mu.Unlock()
+	if err := <-applied; err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		sh0.mu.Lock()
+		n := sh0.compactionsLanded
+		sh0.mu.Unlock()
+		if n > landed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the released compaction never landed: %+v", sh0.publishStats())
+		}
+	}
+	s := six.Current()
+	sh0.mu.Lock()
+	cur := sh0.cur
+	sh0.mu.Unlock()
+	if s.parts[0] != cur {
+		t.Error("the composed view does not hold shard 0's landed part")
+	}
+	if a, b := visible(s, pA, ids[0]), visible(s, pB, ids[1]); !a || !b {
+		t.Errorf("after the commit and the landing: shard 0 half %v, shard 1 half %v, want both", a, b)
+	}
+	assertSnapshotsEqual(t, "after the landing", s, fullFreeze(six), randPoints(rng, 60))
 }

@@ -26,20 +26,19 @@ import (
 // the owning Index publishes successors; call Index.Current again whenever
 // a fresher view is wanted.
 //
-// Consistency across shards: Current never returns a composition gathered
-// while a multi-shard commit (Apply, Train, or a mutation whose polygon
-// spans shards) was in flight, so a batch is observed either on every
-// shard or on none. Independent single-shard mutations publish atomically
-// per shard and carry no cross-shard ordering promise, exactly as
-// independent mutations on two separate indexes would not.
+// Consistency across shards: a multi-shard commit (Apply, Train, or a
+// mutation whose polygon spans shards) publishes all its shards' parts in
+// one store, so a batch is observed either on every shard or on none.
+// Independent single-shard mutations each swap their own shard's part and
+// carry no cross-shard ordering promise, exactly as independent mutations
+// on two separate indexes would not.
 type Snapshot struct {
 	parts  []*part     //act:frozen
 	router shardRouter //act:frozen
-	gen    uint64      // commit generation (even) the composition was pinned at
 }
 
-// part is one shard's frozen state: what a shard publishes (wrapped in a
-// one-part Snapshot) and what a composed Snapshot holds per shard.
+// part is one shard's frozen state: what a shard freezes on every publish
+// and what a Snapshot holds per shard.
 type part struct {
 	polys []*geom.Polygon //act:frozen
 	cells *cellRope       //act:frozen — frozen super covering; serialization input
@@ -49,10 +48,6 @@ type part struct {
 
 	precisionLevel int
 }
-
-// onePart wraps a shard's frozen state as the snapshot the shard publishes;
-// a one-shard Index hands it to readers as is.
-func onePart(p *part) *Snapshot { return &Snapshot{parts: []*part{p}} }
 
 // frozenCells materializes the snapshot's cell list in cell-id order (tests
 // and tools; the hot paths iterate the ropes' runs directly).

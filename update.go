@@ -3,6 +3,7 @@ package actjoin
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"actjoin/internal/cellid"
 	"actjoin/internal/cover"
@@ -19,10 +20,10 @@ import (
 //
 // The paper leaves the synchronization of runtime updates to the caller;
 // here it is the snapshot swap. Every mutation takes one path: its covering
-// is computed once and routed into a per-shard op plan, and each owning
-// shard stages its ops into its writer-side super covering under its own
-// mutex (stageShardOp), rebuilds the frozen trie off to the side, and
-// publishes the result with one atomic pointer store. Queries running
+// is computed once and routed into a per-shard op plan; each owning shard
+// stages its ops into its writer-side super covering under its own mutex
+// (stageShardOp) and rebuilds the frozen trie off to the side; and the
+// composed view is published with one atomic pointer swap. Queries running
 // against the previous snapshot are never blocked and never observe a
 // half-applied update.
 //
@@ -273,8 +274,8 @@ func (tx *Tx) Train(points []Point, maxCells int) {
 // frozen trie is paid once instead of per mutation. If fn returns an error
 // (or panics), nothing was committed anywhere, the error (or panic)
 // propagates to the caller, and the ids handed out by tx.Add are void; if
-// the commit itself fails partway, every shard that had already published
-// its part is rewound, with the same outcome.
+// the commit itself fails partway, nothing was published, every shard that
+// had already frozen its part is rewound, and the outcome is the same.
 //
 // fn must mutate only through tx — calling Add, Remove, Train or Apply on
 // the Index itself from inside fn deadlocks on the registry lock Apply
@@ -318,9 +319,8 @@ func (ix *Index) Apply(fn func(tx *Tx) error) error {
 }
 
 // commitPlan commits a routed op plan, taking the shared commit path when
-// exactly one shard participates (a single atomic publish cannot be torn,
-// so no generation bump or exclusive lock is needed) and the multi-shard
-// path otherwise.
+// exactly one shard participates (it swaps only its own slot of the view,
+// so no exclusive lock is needed) and the multi-shard path otherwise.
 func (ix *Index) commitPlan(plan [][]shardOp) error {
 	single := -1
 	for si := range plan {
@@ -349,54 +349,60 @@ func (ix *Index) commitPlan(plan [][]shardOp) error {
 func (ix *Index) commitSingle(si int, ops []shardOp) error {
 	ix.wmu.RLock()
 	defer ix.wmu.RUnlock()
-	_, err := ix.shards[si].applyShardOps(ops)
-	return err
+	sh := ix.shards[si]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := sh.applyShardOps(ops); err != nil {
+		return err
+	}
+	sh.publishView()
+	return nil
 }
 
-// commitMulti commits an op plan that may span shards, under the exclusive
-// side of the commit lock and inside an odd generation window: composed
-// readers that raced the fan-out retry until the window closes, so they
-// never observe some shards with the batch and others without. Shards
-// commit in ascending order; when one fails — including an injected
-// fault.ShardCommit — every shard that already published is rewound to its
-// pre-commit snapshot before the error returns.
+// commitMulti commits an op plan that may span shards under the exclusive
+// side of the commit lock, which keeps every other view writer out: each
+// participating shard freezes its new part in ascending order, and only
+// when all have succeeded does one store publish them together, so readers
+// observe the batch on every shard or on none. When a shard fails —
+// including an injected fault.ShardCommit — nothing has been published, and
+// the shards that already froze their part are rewound to the part the
+// view still holds before the error returns.
+//
+//act:publisher
 func (ix *Index) commitMulti(plan [][]shardOp) error {
 	ix.wmu.Lock()
 	defer ix.wmu.Unlock()
-	ix.gen.Add(1)
-	defer ix.gen.Add(1)
-	// Parallel slices: shards that committed, and the snapshot each must
-	// be rewound to if a later shard fails (held only for the loop).
-	var doneShards []int
-	var donePrev []*Snapshot
-	for si := range plan {
-		ops := plan[si]
+	old := ix.view.Load()
+	parts := slices.Clone(old.parts)
+	for si, ops := range plan {
 		if len(ops) == 0 {
 			continue
 		}
 		ix.budgetTrainOps(si, ops)
-		prev, err := ix.commitShard(si, ops)
+		p, err := ix.commitShard(si, ops)
 		if err != nil {
-			for i, di := range doneShards {
-				ix.shards[di].rewindTo(donePrev[i])
+			for di := 0; di < si; di++ {
+				if len(plan[di]) > 0 {
+					ix.shards[di].rewindTo(old.parts[di])
+				}
 			}
 			return err
 		}
-		doneShards = append(doneShards, si)
-		donePrev = append(donePrev, prev)
+		parts[si] = p
 	}
+	ix.view.Store(&Snapshot{parts: parts, router: ix.router})
 	return nil
 }
 
-// commitShard runs one shard's slice of a multi-shard commit, containing a
-// panic from the commit seam or the shard's publish machinery as an error: a
-// panic escaping mid-fan-out would skip the rewind of the shards that already
-// published and leak a torn commit, so it must surface as the same failure an
-// error does.
+// commitShard freezes one shard's slice of a multi-shard commit and returns
+// its new part, containing a panic from the commit seam or the shard's
+// publish machinery as an error: a panic escaping mid-fan-out would skip
+// the rewind of the shards that already froze their part, so it must
+// surface as the same failure an error does.
 //
 //act:requires wmu
 //act:seam
-func (ix *Index) commitShard(si int, ops []shardOp) (prev *Snapshot, err error) {
+func (ix *Index) commitShard(si int, ops []shardOp) (p *part, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("actjoin: shard %d commit panicked: %v", si, r)
@@ -405,7 +411,13 @@ func (ix *Index) commitShard(si int, ops []shardOp) (prev *Snapshot, err error) 
 	if err := fault.Hit(fault.ShardCommit); err != nil {
 		return nil, err
 	}
-	return ix.shards[si].applyShardOps(ops)
+	sh := ix.shards[si]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := sh.applyShardOps(ops); err != nil {
+		return nil, err
+	}
+	return sh.cur, nil
 }
 
 // budgetTrainOps converts the global cell budget of each staged training op
