@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"actjoin/internal/cover"
 	"actjoin/internal/fault"
+	"actjoin/internal/geom"
 )
 
 // Failure-domain coverage: every fault-injection seam must be contained by
@@ -792,30 +794,78 @@ func TestNoGoroutineLeakAcrossLifecycles(t *testing.T) {
 // from-scratch freeze and the composed stream round-trippable.
 
 // shardedChaosIndex builds the two-cluster sharded fixture the shard chaos
-// tests share: two well-separated polygon clusters give the router a split it
-// cannot miss, and the tight covering budgets make per-shard compaction
-// thresholds reachable in tens of mutations.
+// tests share: two well-separated polygon clusters give the router a split,
+// and the tight covering budgets make per-shard compaction thresholds
+// reachable in tens of mutations. Each cluster lies wholly on its own shard,
+// so cluster-targeted churn exercises exactly one failure domain. The
+// router splits at the median covering cell, which a draw can place inside
+// a cluster's region, so the fixture redraws the whole set until the split
+// falls between the regions (clusterShards).
 func shardedChaosIndex(t *testing.T, rng *rand.Rand) (*Index, []Polygon) {
 	t.Helper()
-	var polys []Polygon
-	for i := 0; i < 20; i++ {
-		polys = append(polys, clusterSquare(rng, 0), clusterSquare(rng, 1))
+	for attempt := 0; attempt < 100; attempt++ {
+		var polys []Polygon
+		for i := 0; i < 20; i++ {
+			polys = append(polys, clusterSquare(rng, 0), clusterSquare(rng, 1))
+		}
+		// Exactly two shards: more would subdivide the clusters themselves.
+		six, err := NewShardedIndex(polys, 2, WithCoveringBudget(8, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners, ok := clusterShards(six)
+		if !ok {
+			if err := six.Close(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		for i := range polys {
+			if got, want := ownerMask(six, PolygonID(i)), uint64(1)<<owners[i%2]; got != want {
+				t.Fatalf("fixture polygon %d (cluster %d) has owner mask %b, want %b", i, i%2, got, want)
+			}
+		}
+		for _, sh := range six.shards {
+			setRetryBase(sh, time.Millisecond)
+		}
+		return six, polys
 	}
-	// Exactly two shards: the median split point falls between the clusters,
-	// so each cluster maps entirely onto one shard and cluster-targeted churn
-	// exercises exactly one failure domain. (More shards would subdivide the
-	// clusters themselves.)
-	six, err := NewShardedIndex(polys, 2, WithCoveringBudget(8, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Fatal("100 draws of the two-cluster fixture never split the clusters across two shards")
+	return nil, nil
+}
+
+// clusterShards returns the shard each cluster's region lies on, and
+// whether the index has two shards and each region lies wholly on a
+// different one: all of the region's covering cells route to that shard.
+// A square's covering and interior cells are finer than the region's, so
+// they nest inside them and route there too (the fixture and
+// TestShardQuarantineIsolation check the owner masks that result).
+func clusterShards(six *Index) (owners [2]int, ok bool) {
 	if six.NumShards() != 2 {
-		t.Fatalf("two-cluster fixture produced %d shard(s), want 2", six.NumShards())
+		return owners, false
 	}
-	for _, sh := range six.shards {
-		setRetryBase(sh, time.Millisecond)
+	for k := range owners {
+		r := clusterRegion(k)
+		region := geom.MustPolygon(geom.Ring{r.Lo, {X: r.Hi.X, Y: r.Lo.Y}, r.Hi, {X: r.Lo.X, Y: r.Hi.Y}})
+		owners[k] = -1
+		for si, cells := range six.router.route(cover.Covering(region, cover.DefaultCoveringOptions())) {
+			if len(cells) == 0 {
+				continue
+			}
+			if owners[k] >= 0 {
+				return owners, false
+			}
+			owners[k] = si
+		}
 	}
-	return six, polys
+	return owners, owners[0] != owners[1]
+}
+
+// ownerMask returns the registry's owner-shard mask of polygon id.
+func ownerMask(six *Index, id PolygonID) uint64 {
+	six.regMu.Lock()
+	defer six.regMu.Unlock()
+	return six.regOwners[id]
 }
 
 // polyCenter returns the center of one of the axis-aligned test squares.
@@ -870,6 +920,9 @@ func TestShardQuarantineIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("churn %d: Add: %v", i, err)
 		}
+		if got := ownerMask(six, id); got != 1<<target {
+			t.Fatalf("churn %d: cluster-0 polygon has owner mask %b, want only target shard %d", i, got, target)
+		}
 		if err := six.Remove(id); err != nil {
 			t.Fatalf("churn %d: Remove(%d): %v", i, id, err)
 		}
@@ -901,6 +954,9 @@ func TestShardQuarantineIsolation(t *testing.T) {
 		id, err := six.Add(clusterSquare(rng, 1))
 		if err != nil {
 			t.Fatalf("sibling Add %d during quarantine: %v", i, err)
+		}
+		if got := ownerMask(six, id); got != 1<<sibling {
+			t.Fatalf("sibling Add %d: owner mask %b, want only sibling shard %d", i, got, sibling)
 		}
 		if err := six.Remove(id); err != nil {
 			t.Fatalf("sibling Remove %d during quarantine: %v", i, err)

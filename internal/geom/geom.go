@@ -116,10 +116,17 @@ func (r Rect) Intersects(o Rect) bool {
 }
 
 // AddPoint returns the smallest rect containing both r and p.
+//
+// AddPoint, Union and Intersection use the builtin min and max, which
+// compile inline (Segment.Bound calls AddPoint for every edge a refinement
+// descent clips). They agree with math.Min and math.Max on signed zeros,
+// infinities and NaN, except that a NaN beats an infinity: max(NaN, +Inf)
+// is NaN where math.Max gives +Inf. Coordinates that reach an index are
+// finite, so index state never meets that case.
 func (r Rect) AddPoint(p Point) Rect {
 	return Rect{
-		Lo: Point{math.Min(r.Lo.X, p.X), math.Min(r.Lo.Y, p.Y)},
-		Hi: Point{math.Max(r.Hi.X, p.X), math.Max(r.Hi.Y, p.Y)},
+		Lo: Point{min(r.Lo.X, p.X), min(r.Lo.Y, p.Y)},
+		Hi: Point{max(r.Hi.X, p.X), max(r.Hi.Y, p.Y)},
 	}
 }
 
@@ -132,8 +139,8 @@ func (r Rect) Union(o Rect) Rect {
 		return r
 	}
 	return Rect{
-		Lo: Point{math.Min(r.Lo.X, o.Lo.X), math.Min(r.Lo.Y, o.Lo.Y)},
-		Hi: Point{math.Max(r.Hi.X, o.Hi.X), math.Max(r.Hi.Y, o.Hi.Y)},
+		Lo: Point{min(r.Lo.X, o.Lo.X), min(r.Lo.Y, o.Lo.Y)},
+		Hi: Point{max(r.Hi.X, o.Hi.X), max(r.Hi.Y, o.Hi.Y)},
 	}
 }
 
@@ -141,8 +148,8 @@ func (r Rect) Union(o Rect) Rect {
 // result is empty when they do not intersect.
 func (r Rect) Intersection(o Rect) Rect {
 	out := Rect{
-		Lo: Point{math.Max(r.Lo.X, o.Lo.X), math.Max(r.Lo.Y, o.Lo.Y)},
-		Hi: Point{math.Min(r.Hi.X, o.Hi.X), math.Min(r.Hi.Y, o.Hi.Y)},
+		Lo: Point{max(r.Lo.X, o.Lo.X), max(r.Lo.Y, o.Lo.Y)},
+		Hi: Point{min(r.Hi.X, o.Hi.X), min(r.Hi.Y, o.Hi.Y)},
 	}
 	if out.IsEmpty() {
 		return EmptyRect()

@@ -25,6 +25,9 @@ var goldenRefineDigests = map[string]string{
 	"testPolys/16": "1262 05f675728e85c43e",
 	"testPolys/17": "1419 6aaa6cbbe4992ec6",
 	"nyc-tiny/4m":  "908703 4492e370fd4deccb",
+	// Inputs of TestParallelRefinementEquivalence (see refineInputs).
+	"hostile/4m":    "22210 2dc91e7c423d5db4",
+	"four-faces/18": "261 f48424b8f0083ecc",
 }
 
 // cellsDigest renders a frozen covering as its cell count and the first 8

@@ -1,6 +1,10 @@
 package supercover
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"actjoin/internal/cellid"
 	"actjoin/internal/cover"
 	"actjoin/internal/geom"
@@ -28,19 +32,109 @@ import (
 // per-split directory upkeep — nothing reads the directory until it ends —
 // and the directory is rebuilt once from the finished tree instead (see
 // rebuildDirectory).
+//
+// The covering's cells are disjoint and refining one never touches another,
+// so they are the pass's tasks: up to GOMAXPROCS workers claim them in
+// ascending id order from one shared cursor, each descending on its own
+// stacks. Polygons are immutable, so the workers share them read-only. The
+// resulting tree does not depend on the worker count.
 func (sc *SuperCovering) RefineToPrecision(polys []*geom.Polygon, minLevel int) {
+	sc.refineToPrecision(polys, minLevel, runtime.GOMAXPROCS(0))
+}
+
+// refineToPrecision is RefineToPrecision on at most workers workers (and at
+// most one per task); with one, the pass runs on the calling goroutine.
+func (sc *SuperCovering) refineToPrecision(polys []*geom.Polygon, minLevel, workers int) {
 	if minLevel > cover.MaxSupportedLevel {
 		minLevel = cover.MaxSupportedLevel
 	}
 	sc.markAllDirty()
-	r := refiner{sc: sc, polys: polys, minLevel: minLevel}
+	var tasks []refineTask
 	for f := 0; f < cellid.NumFaces; f++ {
 		if sc.roots[f] != nil {
-			r.refineNode(sc.roots[f], cellid.FaceCell(f))
-			sc.pruneEmptyAt(cellid.FaceCell(f))
+			tasks = appendCellTasks(tasks, sc.roots[f], cellid.FaceCell(f))
+		}
+	}
+	workers = max(1, min(workers, len(tasks)))
+
+	// Each worker counts the cells it adds and drops in its own refiner and
+	// reports the delta in its own slot, so sc.numCells is only written
+	// here, after the workers are done.
+	deltas := make([]int, workers)
+	var next atomic.Int64
+	work := func(w int) {
+		r := refiner{polys: polys, minLevel: minLevel}
+		for {
+			i := next.Add(1) - 1
+			if i >= int64(len(tasks)) {
+				break
+			}
+			r.refineNode(tasks[i].n, tasks[i].id)
+		}
+		deltas[w] = r.cells
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		//act:norecover pure-compute refinement worker rewriting only the subtrees of the cells it claims; a panic is a broken invariant with no state to contain
+		go func(w int) {
+			defer wg.Done()
+			work(w)
+		}(w)
+	}
+	work(0)
+	wg.Wait()
+	for _, d := range deltas {
+		sc.numCells += d
+	}
+
+	rest := tasks
+	for f := 0; f < cellid.NumFaces; f++ {
+		if sc.roots[f] != nil && pruneRefined(sc.roots[f], &rest) {
+			sc.roots[f] = nil
 		}
 	}
 	sc.dir = rebuildDirectory(&sc.roots)
+}
+
+// refineTask is one cell of the covering as the bulk pass found it: the
+// node holding it and its id.
+type refineTask struct {
+	n  *node
+	id cellid.CellID
+}
+
+// appendCellTasks appends the cells under n (cell id) to tasks in ascending
+// id order.
+func appendCellTasks(tasks []refineTask, n *node, id cellid.CellID) []refineTask {
+	if n.hasCell {
+		return append(tasks, refineTask{n, id})
+	}
+	for i := 0; i < 4; i++ {
+		if n.children[i] != nil {
+			tasks = appendCellTasks(tasks, n.children[i], id.Child(i))
+		}
+	}
+	return tasks
+}
+
+// pruneRefined is the bulk pass's bottom-up prune (see pruneEmptyAt):
+// it detaches the task nodes that refinement left with neither a cell nor
+// children, and the ancestors that emptied with them, and reports whether
+// n itself is left empty. It retraces appendCellTasks' walk, consuming
+// *tasks as it meets their nodes, and does not descend below a task: the
+// descent already dropped every empty node it would have created there.
+func pruneRefined(n *node, tasks *[]refineTask) bool {
+	if t := *tasks; len(t) > 0 && t[0].n == n {
+		*tasks = t[1:]
+		return !n.hasCell && !n.hasChildren()
+	}
+	for i := 0; i < 4; i++ {
+		if n.children[i] != nil && pruneRefined(n.children[i], tasks) {
+			n.children[i] = nil
+		}
+	}
+	return !n.hasChildren()
 }
 
 // RefineCells is RefineToPrecision scoped to the regions of the given seed
@@ -62,7 +156,7 @@ func (sc *SuperCovering) RefineCells(polys []*geom.Polygon, seeds []cellid.CellI
 	if minLevel > cover.MaxSupportedLevel {
 		minLevel = cover.MaxSupportedLevel
 	}
-	r := refiner{sc: sc, polys: polys, minLevel: minLevel, dir: &sc.dir}
+	r := refiner{polys: polys, minLevel: minLevel, dir: &sc.dir}
 	for _, seed := range seeds {
 		cur := sc.roots[seed.Face()]
 		id := cellid.FaceCell(seed.Face())
@@ -88,17 +182,21 @@ func (sc *SuperCovering) RefineCells(polys []*geom.Polygon, seeds []cellid.CellI
 			sc.pruneEmptyAt(id)
 		}
 	}
+	sc.numCells += r.cells
 }
 
-// refiner is one refinement pass: its inputs, the directory it keeps in
-// step, and the scratch its descent reuses.
+// refiner is one refinement pass, or one worker of a parallel pass: its
+// inputs, the directory it keeps in step, the scratch its descent reuses
+// and the cell count it changed.
 type refiner struct {
-	sc       *SuperCovering
 	polys    []*geom.Polygon
 	minLevel int
 	// dir is the directory updated at every split, or nil when the caller
 	// rebuilds it after the pass (directory methods are no-ops on nil).
 	dir *directory
+	// cells is the number of cells the descent added minus those it
+	// dropped; the caller adds it to the covering's count.
+	cells int
 
 	// Descent stacks. A cell's classification appends its interior refs,
 	// boundary contexts and their clipped edges above those of the cells
@@ -166,7 +264,8 @@ func finalRefs(interior []refs.Ref, boundary []boundaryCtx) []refs.Ref {
 
 // refineNode refines every cell in n's subtree. A cell's candidate
 // references are classified by seedRelate; the seeds of the partial ones
-// start splitBoundary's descent.
+// start splitBoundary's descent. The bulk pass calls it on cells only; a
+// RefineCells seed region may also be a subtree of several.
 func (r *refiner) refineNode(n *node, id cellid.CellID) {
 	if !n.hasCell {
 		for i := 0; i < 4; i++ {
@@ -210,7 +309,7 @@ func (r *refiner) refineNode(n *node, id cellid.CellID) {
 		// Every reference was disjoint: drop the cell.
 		n.hasCell = false
 		n.refs = nil
-		r.sc.numCells--
+		r.cells--
 	case len(boundary) == 0 || id.Level() >= r.minLevel:
 		// Nothing left to refine, or deep enough already: keep the cell
 		// (possibly promoted to a pure true-hit cell) with the cleaned-up
@@ -221,7 +320,7 @@ func (r *refiner) refineNode(n *node, id cellid.CellID) {
 		// Replace the boundary cell with classified descendants.
 		n.hasCell = false
 		n.refs = nil
-		r.sc.numCells--
+		r.cells--
 		r.splitBoundary(n, id, interior, boundary)
 	}
 	r.interior, r.boundary, r.edges = r.interior[:iMark], r.boundary[:bMark], r.edges[:eMark]
@@ -255,7 +354,7 @@ func (r *refiner) splitBoundary(n *node, id cellid.CellID, interior []refs.Ref, 
 			child := &node{hasCell: true, refs: finalRefs(childInterior, childBoundary)}
 			n.children[i] = child
 			r.dir.addRefs(childID, child.refs)
-			r.sc.numCells++
+			r.cells++
 		default:
 			child := &node{}
 			n.children[i] = child

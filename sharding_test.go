@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"actjoin/internal/geom"
 )
 
 // Cross-shard differential suite: an Index of N shards must be
@@ -385,16 +387,26 @@ func TestShardedFootprintCells(t *testing.T) {
 // clusters, so a two-cluster polygon set gives the shard router a natural
 // split and churn can be targeted at one shard's key range.
 func clusterSquare(rng *rand.Rand, cluster int) Polygon {
-	base := [2]struct{ lox, loy float64 }{
-		{diffBound.lox + 0.01*diffBound.w, diffBound.loy + 0.01*diffBound.h},
-		{diffBound.lox + 0.80*diffBound.w, diffBound.loy + 0.80*diffBound.h},
-	}[cluster]
-	x := base.lox + rng.Float64()*0.15*diffBound.w
-	y := base.loy + rng.Float64()*0.15*diffBound.h
+	base := clusterRegion(cluster).Lo
+	x := base.X + rng.Float64()*0.15*diffBound.w
+	y := base.Y + rng.Float64()*0.15*diffBound.h
 	s := (0.01 + rng.Float64()*0.03) * diffBound.w
 	return Polygon{Exterior: Ring{
 		{Lon: x, Lat: y}, {Lon: x + s, Lat: y},
 		{Lon: x + s, Lat: y + s}, {Lon: x, Lat: y + s},
+	}}
+}
+
+// clusterRegion returns the rect every clusterSquare of the cluster lies
+// in.
+func clusterRegion(cluster int) geom.Rect {
+	lo := [2]geom.Point{
+		{X: diffBound.lox + 0.01*diffBound.w, Y: diffBound.loy + 0.01*diffBound.h},
+		{X: diffBound.lox + 0.80*diffBound.w, Y: diffBound.loy + 0.80*diffBound.h},
+	}[cluster]
+	return geom.Rect{Lo: lo, Hi: geom.Point{
+		X: lo.X + 0.15*diffBound.w + 0.04*diffBound.w,
+		Y: lo.Y + 0.15*diffBound.h + 0.04*diffBound.w,
 	}}
 }
 
@@ -550,8 +562,8 @@ func TestLandingWaitsOutCrossShardCommit(t *testing.T) {
 	six, _ := shardedChaosIndex(t, rng)
 	defer six.Close()
 	sh0, sh1 := six.shards[0], six.shards[1]
-	// inShard draws a cluster square centered in shard si's range (a square
-	// may still reach over the split into the other shard).
+	// inShard draws a cluster square on shard si (the fixture puts each
+	// cluster wholly on one shard).
 	inShard := func(si int) Polygon {
 		for {
 			if p := clusterSquare(rng, rng.Intn(2)); six.ShardOf(polyCenter(p)) == si {
