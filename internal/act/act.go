@@ -165,8 +165,15 @@ func (t *Tree) extendedLevel(level, offset int) int {
 	if level <= gmin {
 		return gmin
 	}
-	return level + ((offset-level)%t.delta+t.delta)%t.delta
+	return level + t.modDelta(offset-level)
 }
+
+// modDelta returns x mod δ in [0, δ), also for negative x: δ is a power of
+// two, so the residue is a mask of x's two's-complement bits.
+func (t *Tree) modDelta(x int) int { return x & (t.delta - 1) }
+
+// divDelta returns x / δ for x >= 0: a shift by log2 δ.
+func (t *Tree) divDelta(x int) int { return x >> uint(bits.TrailingZeros(uint(t.delta))) }
 
 // faceLayout is the derived geometry of one face tree: the band anchor, the
 // skipped common prefix and the root band width.
@@ -221,7 +228,7 @@ func (t *Tree) faceLayout(kvs []cellindex.KeyEntry) faceLayout {
 	}
 	prefix := 0
 	if gmin := t.extendedLevel(0, offset); limit >= gmin && !t.disablePrefix {
-		prefix = limit - ((limit-offset)%t.delta+t.delta)%t.delta
+		prefix = limit - t.modDelta(limit-offset)
 	}
 
 	lay.offset = offset
@@ -273,7 +280,7 @@ func (t *Tree) countFaceNodes(kvs []cellindex.KeyEntry, offset, re int) int {
 		}
 		ext := t.extendedLevel(kv.Key.Level(), offset)
 		path := kv.Key.Path()
-		n := 1 + (ext-re)/d
+		n := 1 + t.divDelta(ext-re)
 		if first {
 			total += n
 			first = false
@@ -290,7 +297,7 @@ func (t *Tree) countFaceNodes(kvs []cellindex.KeyEntry, offset, re int) int {
 			}
 			shared := 1 // the root node
 			if l >= re {
-				shared += (l-re)/d + 1
+				shared += t.divDelta(l-re) + 1
 			}
 			total += n - shared
 		}

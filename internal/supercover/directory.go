@@ -30,11 +30,12 @@ import (
 // amortized O(1) per insert instead of O(footprint).
 //
 // The directory is writer-side state with the same synchronization contract
-// as the quadtree itself. Runtime mutations maintain it inline, at every
-// change to a node's reference list — Insert (including conflict-resolution
-// difference cells and the distribute path), RefineCells, training splits,
-// removal and transaction rollback (ResetRegion) — and it is rebuilt for
-// free when a covering is reconstructed by re-inserting frozen cells
+// as the quadtree itself. Runtime mutations maintain it inline, for the
+// polygon ids a cell gains or loses — Insert (including conflict-resolution
+// difference cells and the distribute path), RefineCells (which leaves the
+// entries of a revisited cell's unchanged polygon ids alone), training
+// splits, removal and transaction rollback (ResetRegion) — and it is rebuilt
+// for free when a covering is reconstructed by re-inserting frozen cells
 // (deserialization, the full-rebuild restore path). Bulk refinement
 // (RefineToPrecision) rewrites the whole tree and has no reader until it
 // ends, so it skips the per-split upkeep and rebuilds the directory once
@@ -43,6 +44,10 @@ import (
 // contains polygon p; ValidateDirectory checks it in tests.
 type directory struct {
 	cells map[uint32]*polyFootprint
+
+	// onWrite, when set, sees every addOne and removeOne call before it
+	// runs: a test hook for counting footprint writes.
+	onWrite func(p uint32, id cellid.CellID, add bool)
 }
 
 // polyFootprint is one polygon's recorded cell set: a sorted unique base
@@ -258,14 +263,53 @@ func (d *directory) addRefs(id cellid.CellID, rs []refs.Ref) {
 		return
 	}
 	for _, r := range rs {
-		p := r.PolygonID()
-		f := d.cells[p]
-		if f == nil {
-			f = &polyFootprint{}
-			d.cells[p] = f
-		}
-		f.add(id)
+		d.addOne(id, r.PolygonID())
 	}
+}
+
+// addOne records cell id in polygon p's footprint.
+func (d *directory) addOne(id cellid.CellID, p uint32) {
+	if d.onWrite != nil {
+		d.onWrite(p, id, true)
+	}
+	f := d.cells[p]
+	if f == nil {
+		f = &polyFootprint{}
+		d.cells[p] = f
+	}
+	f.add(id)
+}
+
+// updateRefs moves cell id's entries from the polygon ids of from to those
+// of to, touching only the ids that leave or arrive: a polygon id on both
+// lists is already recorded, whatever its interior flag. Neither list need
+// be normalized: writing a repeated id again is a no-op. Reference lists
+// hold a handful of refs, so the membership tests are linear scans. No-op
+// on a nil directory.
+func (d *directory) updateRefs(id cellid.CellID, from, to []refs.Ref) {
+	if d == nil {
+		return
+	}
+	for _, r := range from {
+		if !hasPolygon(to, r.PolygonID()) {
+			d.removeOne(id, r.PolygonID())
+		}
+	}
+	for _, r := range to {
+		if !hasPolygon(from, r.PolygonID()) {
+			d.addOne(id, r.PolygonID())
+		}
+	}
+}
+
+// hasPolygon reports whether rs holds a reference to polygon p.
+func hasPolygon(rs []refs.Ref, p uint32) bool {
+	for _, r := range rs {
+		if r.PolygonID() == p {
+			return true
+		}
+	}
+	return false
 }
 
 // removeRefs drops cell id from every polygon in rs. Empty per-polygon
@@ -282,6 +326,9 @@ func (d *directory) removeRefs(id cellid.CellID, rs []refs.Ref) {
 
 // removeOne drops cell id from polygon p's footprint.
 func (d *directory) removeOne(id cellid.CellID, p uint32) {
+	if d.onWrite != nil {
+		d.onWrite(p, id, false)
+	}
 	f := d.cells[p]
 	if f == nil {
 		return

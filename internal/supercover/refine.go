@@ -2,6 +2,7 @@ package supercover
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -69,7 +70,7 @@ func (sc *SuperCovering) refineToPrecision(polys []*geom.Polygon, minLevel, work
 			if i >= int64(len(tasks)) {
 				break
 			}
-			r.refineNode(tasks[i].n, tasks[i].id)
+			r.refineNode(tasks[i].n, tasks[i].id, tasks[i].id.Bound())
 		}
 		deltas[w] = r.cells
 	}
@@ -150,8 +151,10 @@ func pruneRefined(n *node, tasks *[]refineTask) bool {
 // full-tree rescan. Nor does it pay for the whole polygons it touches: each
 // cell's candidate references are classified from the edges in the cell's
 // own bands of the polygon's band index (see refineNode). It shares
-// RefineToPrecision's descent, but keeps the directory in step split by
-// split: a rebuild would cost O(index).
+// RefineToPrecision's descent, but updates the directory only for polygon
+// ids a cell gains or loses: a rebuild would cost O(index), and a region
+// that is already refined mostly keeps its cells' polygon sets, so
+// revisiting it writes almost nothing.
 func (sc *SuperCovering) RefineCells(polys []*geom.Polygon, seeds []cellid.CellID, minLevel int) {
 	if minLevel > cover.MaxSupportedLevel {
 		minLevel = cover.MaxSupportedLevel
@@ -178,7 +181,7 @@ func (sc *SuperCovering) RefineCells(polys []*geom.Polygon, seeds []cellid.CellI
 			// (usually re-marking the seed Insert already marked, but the
 			// ancestor-cell break above can land coarser).
 			sc.markDirty(id)
-			r.refineNode(cur, id)
+			r.refineNode(cur, id, id.Bound())
 			sc.pruneEmptyAt(id)
 		}
 	}
@@ -191,8 +194,9 @@ func (sc *SuperCovering) RefineCells(polys []*geom.Polygon, seeds []cellid.CellI
 type refiner struct {
 	polys    []*geom.Polygon
 	minLevel int
-	// dir is the directory updated at every split, or nil when the caller
-	// rebuilds it after the pass (directory methods are no-ops on nil).
+	// dir is the directory updated for every polygon id a cell gains or
+	// loses, or nil when the caller rebuilds it after the pass (directory
+	// methods are no-ops on nil).
 	dir *directory
 	// cells is the number of cells the descent added minus those it
 	// dropped; the caller adds it to the covering's count.
@@ -201,11 +205,14 @@ type refiner struct {
 	// Descent stacks. A cell's classification appends its interior refs,
 	// boundary contexts and their clipped edges above those of the cells
 	// still being descended, and truncates them back once the cell is done,
-	// so past the stacks' own growth a pass allocates only each terminal
-	// cell's reference list and node.
+	// so past the stacks' own growth a pass allocates only each new or
+	// changed cell's reference list and each new node.
 	interior []refs.Ref
 	boundary []boundaryCtx
 	edges    []geom.Segment
+	// list is the scratch each cell's reference list is built and
+	// normalized on (see cellRefs).
+	list []refs.Ref
 }
 
 // boundaryCtx tracks one candidate reference during refinement descent: the
@@ -251,26 +258,29 @@ func (r *refiner) classify(rel geom.RectRelation, ref refs.Ref, poly *geom.Polyg
 	}
 }
 
-// finalRefs allocates a cell's reference list: its interior refs followed
-// by its boundary refs, normalized.
-func finalRefs(interior []refs.Ref, boundary []boundaryCtx) []refs.Ref {
-	out := make([]refs.Ref, 0, len(interior)+len(boundary))
-	out = append(out, interior...)
+// cellRefs builds a cell's reference list on r.list: its interior refs
+// followed by its boundary refs, normalized. The list is scratch, valid
+// until the next call; a node that keeps it gets a copy.
+func (r *refiner) cellRefs(interior []refs.Ref, boundary []boundaryCtx) []refs.Ref {
+	list := append(r.list[:0], interior...)
 	for _, bc := range boundary {
-		out = append(out, bc.ref)
+		list = append(list, bc.ref)
 	}
-	return refs.Normalize(out)
+	r.list = list[:0]
+	return refs.Normalize(list)
 }
 
-// refineNode refines every cell in n's subtree. A cell's candidate
-// references are classified by seedRelate; the seeds of the partial ones
-// start splitBoundary's descent. The bulk pass calls it on cells only; a
-// RefineCells seed region may also be a subtree of several.
-func (r *refiner) refineNode(n *node, id cellid.CellID) {
+// refineNode refines every cell in n's subtree; bound is id's Bound. A
+// cell's candidate references are classified by seedRelate; the seeds of
+// the partial ones start splitBoundary's descent. The bulk pass calls it on
+// cells only; a RefineCells seed region may also be a subtree of several,
+// whose children's bounds come from one decode of id (ChildBounds).
+func (r *refiner) refineNode(n *node, id cellid.CellID, bound geom.Rect) {
 	if !n.hasCell {
+		bounds := id.ChildBounds()
 		for i := 0; i < 4; i++ {
 			if n.children[i] != nil {
-				r.refineNode(n.children[i], id.Child(i))
+				r.refineNode(n.children[i], id.Child(i), bounds[i])
 				if c := n.children[i]; !c.hasCell && !c.hasChildren() {
 					// Every reference in the child's subtree turned out
 					// disjoint: drop the emptied node (see pruneEmptyAt).
@@ -288,7 +298,6 @@ func (r *refiner) refineNode(n *node, id cellid.CellID) {
 	// required for the precision guarantee: a stale candidate reference on
 	// a deep cell could otherwise point at a polygon arbitrarily far away.
 	iMark, bMark, eMark := len(r.interior), len(r.boundary), len(r.edges)
-	bound := id.Bound()
 	for _, ref := range n.refs {
 		if ref.Interior() {
 			r.interior = append(r.interior, ref)
@@ -303,10 +312,10 @@ func (r *refiner) refineNode(n *node, id cellid.CellID) {
 	interior := r.interior[iMark:len(r.interior):len(r.interior)]
 	boundary := r.boundary[bMark:len(r.boundary):len(r.boundary)]
 
-	r.dir.removeRefs(id, n.refs)
 	switch {
 	case len(boundary) == 0 && len(interior) == 0:
 		// Every reference was disjoint: drop the cell.
+		r.dir.removeRefs(id, n.refs)
 		n.hasCell = false
 		n.refs = nil
 		r.cells--
@@ -314,16 +323,32 @@ func (r *refiner) refineNode(n *node, id cellid.CellID) {
 		// Nothing left to refine, or deep enough already: keep the cell
 		// (possibly promoted to a pure true-hit cell) with the cleaned-up
 		// reference set.
-		n.refs = finalRefs(interior, boundary)
-		r.dir.addRefs(id, n.refs)
+		r.keepCell(n, id, interior, boundary)
 	default:
 		// Replace the boundary cell with classified descendants.
+		r.dir.removeRefs(id, n.refs)
 		n.hasCell = false
 		n.refs = nil
 		r.cells--
 		r.splitBoundary(n, id, interior, boundary)
 	}
 	r.interior, r.boundary, r.edges = r.interior[:iMark], r.boundary[:bMark], r.edges[:eMark]
+}
+
+// keepCell installs the cleaned-up reference list of a cell refineNode
+// keeps. When the list equals the cell's current one, the node keeps its
+// slice and the directory is not touched — the usual case when a region
+// that is already refined is revisited. Otherwise the node gets a copy,
+// and the directory changes only for the polygon ids the cell gains or
+// loses: a candidate promoted to an interior ref keeps its polygon id, and
+// so its footprint entry.
+func (r *refiner) keepCell(n *node, id cellid.CellID, interior []refs.Ref, boundary []boundaryCtx) {
+	list := r.cellRefs(interior, boundary)
+	if slices.Equal(list, n.refs) {
+		return
+	}
+	r.dir.updateRefs(id, n.refs, list)
+	n.refs = copyRefs(list)
 }
 
 // splitBoundary recursively subdivides a boundary region down to minLevel.
@@ -351,7 +376,7 @@ func (r *refiner) splitBoundary(n *node, id cellid.CellID, interior []refs.Ref, 
 			// The child is outside every referenced polygon.
 		case len(childBoundary) == 0 || childID.Level() >= r.minLevel:
 			// Terminal: pure true-hit cell, or precision bound reached.
-			child := &node{hasCell: true, refs: finalRefs(childInterior, childBoundary)}
+			child := &node{hasCell: true, refs: copyRefs(r.cellRefs(childInterior, childBoundary))}
 			n.children[i] = child
 			r.dir.addRefs(childID, child.refs)
 			r.cells++
