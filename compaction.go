@@ -16,9 +16,9 @@ import (
 // Background compaction: the stop-the-writer escape from patch garbage.
 //
 // Incremental publishes accumulate garbage — orphaned trie arena nodes,
-// tombstoned lookup-table records, rope fragmentation — and the classic
-// answer, a full compacting rebuild, stalls the writer for hundreds of
-// milliseconds at large coverings (~300-470 ms at the 0.9M-cell NYC
+// tombstoned lookup-table records, dead cells in rope buffers — and the
+// classic answer, a full compacting rebuild, stalls the writer for hundreds
+// of milliseconds at large coverings (~300-470 ms at the 0.9M-cell NYC
 // benchmark). The background compactor moves that reorganization off the
 // writer's critical path, the way LSM engines and concurrent garbage
 // collectors do:
@@ -26,12 +26,15 @@ import (
 //  1. When a publish crosses a *soft* garbage threshold, it still patches
 //     (publish latency stays bounded by the mutation) and kicks off a
 //     goroutine that rebuilds everything from the snapshot it just
-//     published: flatten the frozen cell rope into one owned run, re-encode
-//     it into a fresh Encoder/lookup table, and act.Build a fresh trie
-//     arena. The build reads only immutable snapshot state, so it runs with
-//     no lock held and never disturbs concurrently-held frozen views — the
-//     old arena and table are left exactly as every published snapshot
-//     sees them.
+//     published: re-encode the frozen cell rope's runs into a fresh
+//     Encoder/lookup table and act.Build a fresh trie arena. The result's
+//     rope shares the base's runs, except that the runs of a backing array
+//     the rope covers less than half of are re-packed into one fresh array,
+//     so the dead cells it retains never exceed the cells it holds. The
+//     build reads only immutable snapshot state, so it runs with no lock
+//     held and never disturbs concurrently-held frozen views — the old
+//     arena and table are left exactly as every published snapshot sees
+//     them.
 //  2. Meanwhile the writer keeps patching the old chain, recording every
 //     publish's dirty roots in a replay log, with the garbage thresholds
 //     raised to *hard caps* so memory stays bounded if the compaction is
@@ -172,8 +175,8 @@ func (c *compaction) finish(res *compactResult) {
 	})
 }
 
-// compactResult is the freshly rebuilt state a compaction hands back: a
-// single-run cell rope, a trie over a fresh arena, and the fresh encoder
+// compactResult is the freshly rebuilt state a compaction hands back: the
+// re-packed cell rope, a trie over a fresh arena, and the fresh encoder
 // whose table replaces the live one at the swap.
 type compactResult struct {
 	cells *cellRope
@@ -210,25 +213,26 @@ func (c *compaction) addReplay(roots []cellid.CellID, all bool) {
 	}
 }
 
-// compactBase rebuilds every frozen structure from the base snapshot:
-// rope flattened into one owned run, cells re-encoded into a fresh lookup
-// table, trie rebuilt into a fresh exactly-sized arena (plus patch
-// headroom). It reads only immutable state — the rope's cells and their
-// normalized reference lists are shared with published snapshots and are
-// never written — so it is safe to run concurrently with readers of any
-// snapshot and with the writer patching the old chain. live returns the
-// shard's published part, read once at the end to size the headroom by how
-// far the writer's chain grew past base meanwhile. cancel (optional) is polled
-// between phases so an abandoned build stops burning CPU; a cancelled build
-// returns nil.
+// compactBase rebuilds every frozen structure from the base snapshot: the
+// rope's sparse backing arrays re-packed (the rest shared), cells
+// re-encoded run by run into a fresh lookup table, trie rebuilt into a
+// fresh exactly-sized arena (plus patch headroom). It reads only immutable
+// state — the rope's cells and their normalized reference lists are shared
+// with published snapshots and are never written — so it is safe to run
+// concurrently with readers of any snapshot and with the writer patching
+// the old chain. live returns the shard's published part, read once at the
+// end to size the headroom by how far the writer's chain grew past base
+// meanwhile. cancel (optional) is polled between phases so an abandoned
+// build stops burning CPU; a cancelled build returns nil.
 func compactBase(base *part, live func() *part, cancel *atomic.Bool) *compactResult {
 	cancelled := func() bool { return cancel != nil && cancel.Load() }
-	cells := base.cells.appendAll(make([]supercover.Cell, 0, base.cells.Len()))
+	cells := base.cells.repack()
 	if cancelled() {
 		return nil
 	}
 	enc := cellindex.NewEncoder()
-	kvs := enc.AppendFrozenCells(make([]cellindex.KeyEntry, 0, len(cells)), cells)
+	kvs := make([]cellindex.KeyEntry, 0, cells.Len())
+	cells.eachRun(func(run []supercover.Cell) { kvs = enc.AppendFrozenCells(kvs, run) })
 	if cancelled() {
 		return nil
 	}
@@ -237,7 +241,7 @@ func compactBase(base *part, live func() *part, cancel *atomic.Bool) *compactRes
 	// that rebuild also abandoned this compaction.
 	flight := live().tree.ArenaNodes() - base.tree.ArenaNodes()
 	tree.GrowArena(compactionArenaHeadroom(tree.ArenaNodes(), flight))
-	return &compactResult{cells: ropeFromCells(cells), tree: tree, enc: enc}
+	return &compactResult{cells: cells, tree: tree, enc: enc}
 }
 
 // buildCompaction runs one guarded build attempt: a panic anywhere in the
@@ -379,9 +383,9 @@ func (sh *shard) landGuarded(c *compaction) (err error) {
 	fault.MustHit(fault.CompactSwap)
 	if s := sh.reconcileLocked(c); s != nil {
 		// The reconciled part is byte-identical to the currently published
-		// one (same cells, same polygons — only the backing arena, table
-		// and rope are fresh), so swapping it in is invisible to readers
-		// and needs no writer involvement.
+		// one (same cells, same polygons — only the backing arena and table
+		// are fresh, the rope re-packed), so swapping it in is invisible to
+		// readers and needs no writer involvement.
 		sh.cur = s
 		sh.publishView()
 	}

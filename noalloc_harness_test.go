@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"actjoin/internal/cellid"
-	"actjoin/internal/geom"
 	"actjoin/internal/supercover"
 )
 
@@ -28,28 +26,10 @@ func testAllocs(t *testing.T, name string, f func()) {
 // testing.AllocsPerRun against pre-built inputs. The //act:alloc-harness
 // markers are what `actvet` matches against the annotated functions.
 func TestNoAllocHarness(t *testing.T) {
-	leaf := cellid.FromPoint(geom.Point{X: -73.98, Y: 40.71})
-	cells := make([]supercover.Cell, 4096)
-	for i := range cells {
-		cells[i] = supercover.Cell{ID: cellid.CellID(uint64(leaf) + uint64(2*i))}
-	}
-	// A fragmented rope: four runs splicing views of one sorted stream,
-	// the shape an incrementally patched snapshot produces.
-	frag := &cellRope{}
-	for i := 0; i < len(cells); i += 1024 {
-		frag.runs = append(frag.runs, cells[i:i+1024])
-		frag.total += 1024
-	}
-	lo, hi := cells[100].ID, cells[3000].ID
-
-	//act:alloc-harness cellRope.appendRun
-	dst := &cellRope{}
-	testAllocs(t, "cellRope.appendRun", func() {
-		dst.runs, dst.total = dst.runs[:0], 0
-		for _, run := range frag.runs {
-			dst.appendRun(run) // adjacent views of one array: the merge path
-		}
-	})
+	// A fragmented rope: 4096 single-cell runs over one sorted stream, a
+	// three-level tree, the shape an incrementally patched snapshot takes.
+	frag, cells := leafRope(4096)
+	lo, hi := cells[100].ID, cells[6000].ID
 
 	//act:alloc-harness cellRope.rangeRuns
 	testAllocs(t, "cellRope.rangeRuns", func() {
@@ -58,32 +38,21 @@ func TestNoAllocHarness(t *testing.T) {
 		allocSink += n
 	})
 
+	//act:alloc-harness cellRope.rank
+	testAllocs(t, "cellRope.rank", func() {
+		allocSink += frag.rank(hi)
+	})
+
 	//act:alloc-harness cellRope.countRange
 	testAllocs(t, "cellRope.countRange", func() {
 		allocSink += frag.countRange(lo, hi)
 	})
 
-	//act:alloc-harness ropeCursor.copyBefore
-	out := &cellRope{}
-	testAllocs(t, "ropeCursor.copyBefore", func() {
-		out.runs, out.total = out.runs[:0], 0
-		cur := ropeCursor{rope: frag}
-		if last := cur.copyBefore(cells[2000].ID, out); last != nil {
-			allocSink += int(last.ID)
+	//act:alloc-harness cellRope.before
+	testAllocs(t, "cellRope.before", func() {
+		if c := frag.before(cells[4001].ID); c != nil {
+			allocSink += int(c.ID)
 		}
-	})
-
-	//act:alloc-harness ropeCursor.skipThrough
-	testAllocs(t, "ropeCursor.skipThrough", func() {
-		cur := ropeCursor{rope: frag}
-		allocSink += cur.skipThrough(cells[2000].ID, func(supercover.Cell) {})
-	})
-
-	//act:alloc-harness ropeCursor.copyRest
-	testAllocs(t, "ropeCursor.copyRest", func() {
-		out.runs, out.total = out.runs[:0], 0
-		cur := ropeCursor{rope: frag, ri: 1, off: 10}
-		cur.copyRest(out)
 	})
 
 	// The composed view is published whole, so pinning it costs one atomic

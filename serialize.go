@@ -97,7 +97,7 @@ func appendIndexBody(body []byte, opt options, precisionLevel int, polys []*geom
 	}
 	body = binary.LittleEndian.AppendUint64(body, uint64(total))
 	for _, rope := range ropes {
-		for _, run := range rope.runs {
+		rope.eachRun(func(run []supercover.Cell) {
 			for _, c := range run {
 				body = binary.LittleEndian.AppendUint64(body, uint64(c.ID))
 				body = binary.LittleEndian.AppendUint32(body, uint32(len(c.Refs)))
@@ -105,7 +105,7 @@ func appendIndexBody(body []byte, opt options, precisionLevel int, polys []*geom
 					body = binary.LittleEndian.AppendUint32(body, uint32(r))
 				}
 			}
-		}
+		})
 	}
 	return body
 }

@@ -387,13 +387,10 @@ func (sh *shard) publishIncremental(prev *part, roots []cellid.CellID) *part {
 	arenaCap, tableCap := arenaMaxGarbageFraction, tableMaxGarbageFraction
 	if c != nil {
 		// A compaction is already rebuilding: keep patching past the soft
-		// thresholds, bounded by the hard caps. (Rope fragmentation needs no
-		// hard cap of its own — the splice tolerates high run counts and
-		// maxCellRuns bounds it with an inline flatten as the last resort.)
+		// thresholds, bounded by the hard caps.
 		arenaCap, tableCap = arenaHardGarbageFraction, tableHardGarbageFraction
 	}
-	if prev.tree.GarbageRatio() > arenaCap || sh.enc.GarbageRatio() > tableCap ||
-		(c == nil && !sh.bgCompactionOffLocked() && len(prev.cells.runs) > ropeCompactRuns) {
+	if prev.tree.GarbageRatio() > arenaCap || sh.enc.GarbageRatio() > tableCap {
 		switch {
 		case c != nil && c.replayAll:
 			// The in-flight compaction is already poisoned: waiting for its
@@ -495,36 +492,38 @@ func (sh *shard) patchSnapshot(base *part, enc *cellindex.Encoder, roots []celli
 		}
 	}
 
-	// Splice the new cell rope: clean runs come over from the base snapshot
-	// as subslices (reference lists shared — both sides are immutable),
-	// dirty regions are re-emitted from the writer tree into one fresh
-	// buffer. In the same pass the encoder releases every replaced entry
-	// (the base tree maps any leaf of a cell back to its entry) and
-	// re-encodes the regions' new cells, journaled between Begin and
-	// Commit/Rollback so an abort restores the accounting exactly.
+	// Re-emit every dirty region from the writer tree into one fresh buffer
+	// and splice it into the base rope, which shares every clean run and
+	// copies only the tree paths to the regions. In the same pass the
+	// encoder releases every replaced entry (the base tree maps any leaf of
+	// a cell back to its entry) and re-encodes the regions' new cells,
+	// journaled between Begin and Commit/Rollback so an abort restores the
+	// accounting exactly.
 	enc.Begin()
 	abort := func() *part {
 		enc.Rollback()
 		return nil
 	}
-	newCells := &cellRope{}
-	cur := ropeCursor{rope: base.cells}
 	dirtyBuf := make([]supercover.Cell, 0, 256)
 	kvbuf := sh.kvScratch[:0]
 	regions := make([]act.PatchRegion, len(roots))
+	edits := make([]ropeEdit, len(roots))
 	dirtyOld, dirtyNew := 0, 0
 	for ri, r := range roots {
 		if fault.Hit(fault.RopeSplice) != nil {
 			return abort() // injected splice failure: ordinary patch abort
 		}
 		lo, hi := r.RangeMin(), r.RangeMax()
-		if last := cur.copyBefore(lo, newCells); last != nil && last.ID.RangeMax() >= lo {
+		if last := base.cells.before(lo); last != nil && last.ID.RangeMax() >= lo {
 			// A clean cell straddles the region boundary — the dirty-tracking
 			// invariant should make this impossible; rebuild to be safe.
 			return abort()
 		}
-		dirtyOld += cur.skipThrough(hi, func(c supercover.Cell) {
-			enc.Release(base.tree.Find(c.ID.RangeMin()))
+		base.cells.rangeRuns(lo, hi, func(seg []supercover.Cell) {
+			for _, c := range seg {
+				enc.Release(base.tree.Find(c.ID.RangeMin()))
+			}
+			dirtyOld += len(seg)
 		})
 		start := len(dirtyBuf)
 		var ok bool
@@ -532,17 +531,13 @@ func (sh *shard) patchSnapshot(base *part, enc *cellindex.Encoder, roots []celli
 		if !ok {
 			return abort()
 		}
-		// Not capacity-capped: adjacent regions emit contiguously into
-		// dirtyBuf and appendRun merges their rope runs. The buffer is owned
-		// by the snapshot from here on (fresh per publish, never recycled).
 		region := dirtyBuf[start:len(dirtyBuf)]
-		newCells.appendRun(region)
 		dirtyNew += len(region)
 		kvStart := len(kvbuf)
 		kvbuf = enc.AppendCells(kvbuf, region)
 		regions[ri] = act.PatchRegion{Root: r, KVs: kvbuf[kvStart:len(kvbuf):len(kvbuf)]}
+		edits[ri] = ropeEdit{lo: lo, hi: hi, from: start, to: len(dirtyBuf)}
 	}
-	cur.copyRest(newCells)
 	sh.kvScratch = kvbuf[:0]
 
 	dirty := dirtyOld
@@ -564,23 +559,14 @@ func (sh *shard) patchSnapshot(base *part, enc *cellindex.Encoder, roots []celli
 		// copying the whole arena on the writer.
 		patch = base.tree.PatchInCapacity
 	}
+	// The snapshot keeps dirtyBuf (fresh per publish, never recycled), and
+	// the splice re-merges adjacent regions' runs in it.
+	newCells := base.cells.splice(edits, dirtyBuf)
 	tree, ok := patch(regions, newCells.Len())
 	if !ok {
 		return abort()
 	}
 	enc.Commit()
-	// Splice fragmentation: with the background compactor on, crossing
-	// ropeCompactRuns starts a compaction (whose result is a single run)
-	// and the inline flatten is only the distant last resort; with it off
-	// (quarantine, Close, or the differential hook), flatten at the
-	// pre-compactor bound so a degraded shard really compacts inline.
-	flattenAt := maxCellRuns
-	if sh.bgCompactionOffLocked() {
-		flattenAt = ropeCompactRuns
-	}
-	if len(newCells.runs) > flattenAt {
-		newCells = newCells.flatten()
-	}
 	return &part{
 		polys:          sh.polys,
 		cells:          newCells,
@@ -674,11 +660,11 @@ func (sh *shard) resetToSnapshot(s *part, roots []cellid.CellID, all bool) {
 		// state, including the per-polygon cell directory.
 		sc := supercover.New()
 		sc.SetWalkRemoval(sh.opt.walkRemoval)
-		for _, run := range s.cells.runs {
+		s.cells.eachRun(func(run []supercover.Cell) {
 			for _, c := range run {
 				sc.Insert(c.ID, c.Refs)
 			}
-		}
+		})
 		sc.TakeDirty() // the rebuild is the published state; nothing is dirty
 		sh.sc = sc
 	}
